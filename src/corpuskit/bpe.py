@@ -19,7 +19,7 @@ Conventions, fixed for determinism and recorded in the model header:
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +34,6 @@ DEFAULT_SPECIALS = ("<unk>", "<pad>", "<s>", "</s>", "<mask>")
 class TokenizerConfig:
     vocab_size: int = 32_000
     character_coverage: float = 1.0
-    case_preserving: bool = True  # the toolkit is cased-only
     special_tokens: tuple[str, ...] = DEFAULT_SPECIALS
 
     def validate(self) -> list[str]:
@@ -43,8 +42,6 @@ class TokenizerConfig:
             problems.append(f"vocab_size must be positive, got {self.vocab_size}")
         if not 0.0 < self.character_coverage <= 1.0:
             problems.append(f"character_coverage must be in (0, 1], got {self.character_coverage}")
-        if not self.case_preserving:
-            problems.append("case_preserving=False is not supported; the vocabulary is cased")
         if not self.special_tokens:
             problems.append("at least one special token (the unknown) is required")
         seen = set()
@@ -163,8 +160,13 @@ def _merge_once(symbols: Sequence[str], pair: tuple[str, str]) -> tuple[str, ...
 class _PairIndex:
     """Weighted adjacent-pair counts over all words, with a lazy max-heap.
 
-    Heap entries are (-count, pair); stale entries are discarded on pop by
-    checking against the live count, so ties resolve to the smallest pair.
+    ``counts[p]`` is the frequency-weighted number of occurrences of pair p,
+    and ``where[p]`` the indices of the words that contain it; both hold only
+    pairs that occur. Heap entries are (-count, pair), so the smallest entry
+    is the most frequent pair with ties to the smallest pair. An entry is
+    stale when its count no longer matches ``counts``; stale entries are
+    dropped when they reach the top. Each merge sums the count changes over
+    all touched words first and pushes one entry per pair whose count moved.
     """
 
     def __init__(self, words: list[tuple[str, ...]], freqs: list[int]):
@@ -172,51 +174,52 @@ class _PairIndex:
         self.freqs = freqs
         self.counts: Counter = Counter()
         self.where: dict[tuple[str, str], set[int]] = {}
-        self.heap: list[tuple[int, tuple[str, str]]] = []
         for idx, (syms, n) in enumerate(zip(words, freqs)):
             for pair in zip(syms, syms[1:]):
                 self.counts[pair] += n
                 self.where.setdefault(pair, set()).add(idx)
-        for pair, count in self.counts.items():
-            heapq.heappush(self.heap, (-count, pair))
+        self.heap = [(-count, pair) for pair, count in self.counts.items()]
+        heapq.heapify(self.heap)
 
     def best_pair(self) -> tuple[str, str] | None:
-        while self.heap:
-            neg, pair = heapq.heappop(self.heap)
-            if self.counts.get(pair, 0) == -neg:
-                heapq.heappush(self.heap, (neg, pair))  # keep it valid for callers
+        heap, counts = self.heap, self.counts
+        while heap:
+            neg, pair = heap[0]
+            if counts.get(pair, 0) == -neg:
                 return pair
-            # stale entry, drop it
+            heapq.heappop(heap)  # stale entry
         return None
 
     def apply_merge(self, pair: tuple[str, str]) -> None:
-        touched = self.where.get(pair, set()).copy()
-        for idx in touched:
-            old = self.words[idx]
-            n = self.freqs[idx]
+        words, freqs, where, counts = self.words, self.freqs, self.where, self.counts
+        delta: dict[tuple[str, str], int] = defaultdict(int)
+        for idx in list(where[pair]):
+            old = words[idx]
             new = _merge_once(old, pair)
-            for p in zip(old, old[1:]):
-                self.counts[p] -= n
-                if self.counts[p] <= 0:
-                    del self.counts[p]
-                    self.where.pop(p, None)
-                else:
-                    heapq.heappush(self.heap, (-self.counts[p], p))
-            for p in zip(new, new[1:]):
-                self.counts[p] += n
-                self.where.setdefault(p, set()).add(idx)
-                heapq.heappush(self.heap, (-self.counts[p], p))
-            self.words[idx] = new
-            self._prune_membership(idx, old, new)
-
-    def _prune_membership(self, idx: int, old: tuple[str, ...], new: tuple[str, ...]) -> None:
-        gone = set(zip(old, old[1:])) - set(zip(new, new[1:]))
-        for p in gone:
-            members = self.where.get(p)
-            if members is not None:
+            words[idx] = new
+            n = freqs[idx]
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for p in old_pairs:
+                delta[p] -= n
+            for p in new_pairs:
+                delta[p] += n
+            old_set, new_set = set(old_pairs), set(new_pairs)
+            for p in old_set - new_set:
+                members = where[p]
                 members.discard(idx)
                 if not members:
-                    self.where.pop(p, None)
+                    del where[p]
+            for p in new_set - old_set:
+                where.setdefault(p, set()).add(idx)
+        for p, d in delta.items():
+            if d:
+                count = counts[p] + d
+                if count:
+                    counts[p] = count
+                    heapq.heappush(self.heap, (-count, p))
+                else:
+                    del counts[p]
 
 
 def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:

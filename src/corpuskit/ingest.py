@@ -31,10 +31,12 @@ class BitextRecord:
     target_text: str
 
 
+def _decoded(line: str | bytes, source_id: str, line_no: int) -> str:
+    return decode_line(line, source_id, line_no) if isinstance(line, bytes) else line
+
+
 def _as_text(line: str | bytes, source_id: str, line_no: int) -> str:
-    if isinstance(line, bytes):
-        return normalize_line(decode_line(line, source_id, line_no))
-    return normalize_line(line)
+    return normalize_line(_decoded(line, source_id, line_no))
 
 
 def read_plain_corpus(
@@ -64,16 +66,18 @@ def read_tsv_bitext(
     source_id: str,
     counts: Counter | None = None,
 ) -> Iterator[BitextRecord]:
-    """Parse source<TAB>target lines. Lines without a tab are skipped and counted."""
+    """Parse source<TAB>target lines, splitting on the first tab before either
+    side is normalized, so an empty side survives for extraction to count.
+    Blank lines and lines without a tab are skipped and counted."""
     for line_no, raw in enumerate(lines, start=1):
-        text = _as_text(raw, source_id, line_no)
+        line = _decoded(raw, source_id, line_no)
         if counts is not None:
             counts["lines"] += 1
-        if not text:
+        if not normalize_line(line):
             if counts is not None:
                 counts["empty"] += 1
             continue
-        left, sep, right = text.partition("\t")
+        left, sep, right = line.partition("\t")
         if not sep:
             if counts is not None:
                 counts["malformed"] += 1

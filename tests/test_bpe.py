@@ -7,6 +7,7 @@ from corpuskit.bpe import (
     DEFAULT_SPECIALS,
     BpeModel,
     TokenizerConfig,
+    _PairIndex,
     add_special_tokens,
     build_alphabet,
     decode,
@@ -95,6 +96,58 @@ def test_reference_agreement_on_random_corpora():
         base = len(DEFAULT_SPECIALS) + 2 * len(set("".join(words)))
         cfg = TokenizerConfig(vocab_size=base + 12)
         model = learn_bpe(lines, cfg)
+        assert model.merges == oracles.quadratic_bpe_merges(words, len(model.merges)), trial
+
+
+def _run_words(rng: random.Random) -> Counter:
+    """Words built from repeated-symbol runs and short periods ("aaaa", "abab",
+    "aabaab"), where one merge can remove and re-create the same pair inside
+    one word, so a pair's net change over a merge is often zero."""
+    words = Counter()
+    for _ in range(40):
+        unit = "".join(rng.choice("aab") for _ in range(rng.randrange(1, 4)))
+        w = unit * rng.randrange(1, 6) + rng.choice(["", "", "a", "b", "c"])
+        words[w] += rng.randrange(1, 9)
+    return words
+
+
+def _recount(words, freqs):
+    counts, where = Counter(), {}
+    for idx, (syms, n) in enumerate(zip(words, freqs)):
+        for p in zip(syms, syms[1:]):
+            counts[p] += n
+            where.setdefault(p, set()).add(idx)
+    return counts, where
+
+
+def test_pair_index_matches_recount_after_every_merge():
+    rng = random.Random(5)
+    for trial in range(12):
+        words = _run_words(rng) if trial % 2 else Counter(
+            "".join(rng.choice("abc") for _ in range(rng.randrange(1, 9))) for _ in range(50))
+        index = _PairIndex([oracles.word_to_symbols(w) for w in words], list(words.values()))
+        for step in range(200):
+            pair = index.best_pair()
+            if pair is None:
+                break
+            index.apply_merge(pair)
+            counts, where = _recount(index.words, index.freqs)
+            # dict(): Counter equality ignores zero entries, the index must hold none
+            assert dict(index.counts) == dict(counts), (trial, step)
+            assert index.where == where, (trial, step)
+            live = set(index.heap)
+            assert all((-c, p) in live for p, c in counts.items()), (trial, step)
+        assert not index.counts and not index.where, trial
+
+
+def test_reference_agreement_on_repeated_symbol_runs():
+    rng = random.Random(17)
+    for trial in range(6):
+        words = _run_words(rng)
+        lines = [w for w, n in words.items() for _ in range(n)]
+        base = len(DEFAULT_SPECIALS) + 2 * len(set("".join(words)))
+        model = learn_bpe(lines, TokenizerConfig(vocab_size=base + 40))
+        assert len(model.merges) >= 40
         assert model.merges == oracles.quadratic_bpe_merges(words, len(model.merges)), trial
 
 
@@ -269,6 +322,7 @@ def test_config_validation():
     assert TokenizerConfig().validate() == []
     assert TokenizerConfig(vocab_size=0).validate() != []
     assert TokenizerConfig(character_coverage=0.0).validate() != []
-    assert TokenizerConfig(case_preserving=False).validate() != []
+    with pytest.raises(TypeError):  # the tokenizer is cased-only; there is no knob
+        TokenizerConfig(case_preserving=False)
     assert TokenizerConfig(special_tokens=("<unk>", "<unk>")).validate() != []
     assert TokenizerConfig(special_tokens=("bad token",)).validate() != []

@@ -45,6 +45,29 @@ def test_tsv_bitext_parsing():
     assert counts["malformed"] == 1 and counts["empty"] == 1
 
 
+@pytest.mark.parametrize("line, pair", [
+    ("\tkamusta\n", ("", "kamusta")),      # leading tab: empty source side
+    ("hello\t\n", ("hello", "")),          # trailing tab: empty target side
+    ("hello\t   \n", ("hello", "")),       # whitespace-only target side
+    ("  \t kamusta \n", ("", "kamusta")),  # whitespace-only source side
+    (b"hello\t\n", ("hello", "")),
+])
+def test_tsv_empty_side_is_a_pair_not_malformed(line, pair):
+    counts = Counter()
+    recs = list(read_tsv_bitext([line], "cc", counts))
+    assert recs == [BitextRecord(*pair)]
+    assert counts["malformed"] == 0 and counts["empty"] == 0
+    side = Side.SOURCE if not pair[0] else Side.TARGET
+    assert list(extract_bitext_side(recs, side, "cc", counts)) == []
+    assert counts["empty_side"] == 1
+
+
+def test_tsv_whitespace_only_line_is_empty():
+    counts = Counter()
+    assert list(read_tsv_bitext([" \t \n", "\t\n"], "cc", counts)) == []
+    assert counts["empty"] == 2 and counts["malformed"] == 0
+
+
 def test_paired_bitext_zips_lines():
     recs = list(read_paired_bitext(["a\n", "b\n"], ["x\n", "y\n"], "p"))
     assert recs == [BitextRecord("a", "x"), BitextRecord("b", "y")]
