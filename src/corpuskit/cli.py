@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import bpe, dedup, nli, pipeline, tweets
@@ -33,28 +34,26 @@ def _open_out(path: str):
 
 
 def cmd_ingest(args) -> int:
+    if args.format == "paired" and len(args.inputs) != 2:
+        raise CorpusError("paired format takes exactly two input files")
+    if args.format != "paired" and len(args.inputs) != 1:
+        raise CorpusError(f"{args.format} format takes exactly one input file")
     counts: Counter = Counter()
-    with _open_out(args.out) as out:
-        n = 0
+    n = 0
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "rb")) for path in args.inputs]
+        out = stack.enter_context(_open_out(args.out))  # after the inputs open, so a bad path clobbers nothing
         if args.format == "plain":
-            with open(args.inputs[0], "rb") as f:
-                for rec in read_plain_corpus(f, args.source_id, counts):
-                    out.write(rec.text + "\n")
-                    n += 1
-        elif args.format == "tsv":
-            with open(args.inputs[0], "rb") as f:
-                pairs = read_tsv_bitext(f, args.source_id, counts)
-                for rec in extract_bitext_side(pairs, Side(args.side), args.source_id, counts):
-                    out.write(rec.text + "\n")
-                    n += 1
-        else:  # paired
-            if len(args.inputs) != 2:
-                raise CorpusError("paired format takes exactly two input files")
-            with open(args.inputs[0], "rb") as src, open(args.inputs[1], "rb") as tgt:
-                pairs = read_paired_bitext(src, tgt, args.source_id, counts)
-                for rec in extract_bitext_side(pairs, Side(args.side), args.source_id, counts):
-                    out.write(rec.text + "\n")
-                    n += 1
+            records = read_plain_corpus(files[0], args.source_id, counts)
+        else:
+            if args.format == "tsv":
+                pairs = read_tsv_bitext(files[0], args.source_id, counts)
+            else:
+                pairs = read_paired_bitext(files[0], files[1], args.source_id, counts)
+            records = extract_bitext_side(pairs, Side(args.side), args.source_id, counts)
+        for rec in records:
+            out.write(rec.text + "\n")
+            n += 1
     skipped = counts["empty"] + counts["malformed"] + counts["empty_side"]
     print(f"read={counts['lines']} extracted={n} skipped={skipped}", file=sys.stderr)
     return 0

@@ -16,13 +16,13 @@ from __future__ import annotations
 import configparser
 import json
 import os
-import shutil
 import sys
+import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
 from .core import CorpusError, SentenceRecord
@@ -287,6 +287,80 @@ def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecor
 _INGEST_REJECT_KEYS = {"empty": "Empty", "malformed": "Malformed", "empty_side": "EmptySide"}
 
 
+def _write_lines(path: Path, records: Iterable[SentenceRecord]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for rec in records:
+            f.write(rec.text + "\n")
+
+
+def _ingest_filter_dedup(cfg: PipelineConfig, tmp_dir: Path, stats: PipelineStats) -> list[SentenceRecord]:
+    """Stream each source, in config order, through the filters and one
+    keep-first dedup shared by all sources; filter rejects go to rejects.tsv."""
+    seen: set[bytes] = set()
+    kept: list[SentenceRecord] = []
+    dedup_stats: list[StageStats] = []
+    with open(tmp_dir / "rejects.tsv", "w", encoding="utf-8", newline="\n") as rejects_file:
+        for spec in cfg.sources:
+            counts: Counter = Counter()
+            filter_rejects: Counter = Counter()
+            n_records = n_passed = n_kept = 0
+            try:
+                for rec in _source_records(spec, counts):
+                    n_records += 1
+                    verdict = apply_filters(rec.text, cfg.filter_cfg)
+                    if not verdict.passed:
+                        filter_rejects[verdict.reason.value] += 1
+                        rejects_file.write(f"{verdict.reason.value}\t{rec.text}\n")
+                        continue
+                    n_passed += 1
+                    key = dedup_key(rec.text)
+                    if key not in seen:
+                        seen.add(key)
+                        kept.append(rec)
+                        n_kept += 1
+            except (CorpusError, OSError) as e:
+                raise PipelineError("ingest", str(e), spec.source_id) from e
+
+            bytes_in = Path(spec.path).stat().st_size
+            if spec.path2 is not None:
+                bytes_in += Path(spec.path2).stat().st_size
+            ingest_rejects = {name: counts[key] for key, name in _INGEST_REJECT_KEYS.items() if counts[key]}
+            stats.stages.append(StageStats("ingest", spec.source_id, lines_in=counts["lines"],
+                                           lines_out=n_records, rejects=ingest_rejects, bytes_in=bytes_in))
+            stats.stages.append(StageStats("filter", spec.source_id, lines_in=n_records,
+                                           lines_out=n_passed, rejects=dict(filter_rejects)))
+            dedup_stats.append(StageStats("dedup", spec.source_id, lines_in=n_passed, lines_out=n_kept,
+                                          duplicates_dropped=n_passed - n_kept))
+    stats.stages.extend(dedup_stats)
+    return kept
+
+
+def _split(cfg: PipelineConfig, kept: list[SentenceRecord], tmp_dir: Path,
+           stats: PipelineStats) -> list[SentenceRecord]:
+    """Write split_a.txt and split_b.txt; return side A, the pretraining side."""
+    side_a, side_b = split_corpus(kept, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))
+    _write_lines(tmp_dir / "split_a.txt", side_a)
+    _write_lines(tmp_dir / "split_b.txt", side_b)
+    per_source_a = Counter(r.source_id for r in side_a)
+    per_source_b = Counter(r.source_id for r in side_b)
+    for spec in cfg.sources:
+        n_a, n_b = per_source_a[spec.source_id], per_source_b[spec.source_id]
+        stats.stages.append(StageStats("split", spec.source_id, lines_in=n_a + n_b, lines_out=n_a + n_b,
+                                       extra={"side_a": n_a, "side_b": n_b}))
+    return side_a
+
+
+def _train_bpe(cfg: PipelineConfig, corpus: list[SentenceRecord], tmp_dir: Path,
+               stats: PipelineStats) -> None:
+    try:
+        model = learn_bpe((r.text for r in corpus), cfg.tokenizer_cfg)
+    except ValueError as e:
+        raise PipelineError("train-bpe", str(e)) from e
+    save_model(model, tmp_dir / "bpe.merges.txt", tmp_dir / "bpe.vocab.txt")
+    stats.stages.append(StageStats("train-bpe", "*", lines_in=len(corpus), lines_out=len(corpus),
+                                   extra={"vocab_size": len(model.vocab), "merges": len(model.merges)}))
+
+
 def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
     """Run the full build and write corpus, splits, tokenizer, and stats.
 
@@ -300,144 +374,23 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
     t0 = time.monotonic()
     stats = PipelineStats()
     out_dir = Path(cfg.output_dir)
-    tmp_dir = out_dir / ".build-tmp"
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
-
-    try:
-        survivors: list[SentenceRecord] = []
-        with open(tmp_dir / "rejects.tsv", "w", encoding="utf-8", newline="\n") as rejects_file:
-            for spec in cfg.sources:
-                counts: Counter = Counter()
-                n_records = 0
-                n_passed = 0
-                filter_rejects: Counter = Counter()
-                try:
-                    for rec in _source_records(spec, counts):
-                        n_records += 1
-                        verdict = apply_filters(rec.text, cfg.filter_cfg)
-                        if verdict.passed:
-                            survivors.append(rec)
-                            n_passed += 1
-                        else:
-                            filter_rejects[verdict.reason.value] += 1
-                            rejects_file.write(f"{verdict.reason.value}\t{rec.text}\n")
-                except CorpusError as e:
-                    raise PipelineError("ingest", str(e), spec.source_id) from e
-                except OSError as e:
-                    raise PipelineError("ingest", str(e), spec.source_id) from e
-
-                bytes_in = Path(spec.path).stat().st_size
-                if spec.path2 is not None:
-                    bytes_in += Path(spec.path2).stat().st_size
-                stats.stages.append(
-                    StageStats(
-                        stage="ingest",
-                        source_id=spec.source_id,
-                        lines_in=counts["lines"],
-                        lines_out=n_records,
-                        rejects={
-                            name: counts[key]
-                            for key, name in _INGEST_REJECT_KEYS.items()
-                            if counts[key]
-                        },
-                        bytes_in=bytes_in,
-                    )
-                )
-                stats.stages.append(
-                    StageStats(
-                        stage="filter",
-                        source_id=spec.source_id,
-                        lines_in=n_records,
-                        lines_out=n_passed,
-                        rejects=dict(filter_rejects),
-                    )
-                )
-
-        # Global dedup, keep-first across sources in config order.
-        seen: set[bytes] = set()
-        kept: list[SentenceRecord] = []
-        dedup_in: Counter = Counter()
-        dedup_kept: Counter = Counter()
-        dedup_dropped: Counter = Counter()
-        for rec in survivors:
-            dedup_in[rec.source_id] += 1
-            key = dedup_key(rec.text)
-            if key in seen:
-                dedup_dropped[rec.source_id] += 1
-            else:
-                seen.add(key)
-                kept.append(rec)
-                dedup_kept[rec.source_id] += 1
-        for spec in cfg.sources:
-            sid = spec.source_id
-            stats.stages.append(
-                StageStats(
-                    stage="dedup",
-                    source_id=sid,
-                    lines_in=dedup_in[sid],
-                    lines_out=dedup_kept[sid],
-                    duplicates_dropped=dedup_dropped[sid],
-                )
-            )
-
-        with open(tmp_dir / "corpus.txt", "w", encoding="utf-8", newline="\n") as f:
-            for rec in kept:
-                f.write(rec.text + "\n")
-
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # A staging directory of its own, so concurrent builds never share files.
+    with tempfile.TemporaryDirectory(prefix=".build-", dir=out_dir) as tmp:
+        tmp_dir = Path(tmp)
+        kept = _ingest_filter_dedup(cfg, tmp_dir, stats)
+        _write_lines(tmp_dir / "corpus.txt", kept)
         bpe_corpus = kept
         if cfg.split_cfg is not None:
-            split_cfg = SplitConfig(
-                ratio=cfg.split_cfg.ratio,
-                seed=derive_subseed(cfg.seed, "split"),
-                unit=cfg.split_cfg.unit,
-            )
-            side_a, side_b = split_corpus(kept, split_cfg)
-            for name, side in (("split_a.txt", side_a), ("split_b.txt", side_b)):
-                with open(tmp_dir / name, "w", encoding="utf-8", newline="\n") as f:
-                    for rec in side:
-                        f.write(rec.text + "\n")
-            per_source_a: Counter = Counter(r.source_id for r in side_a)
-            per_source_b: Counter = Counter(r.source_id for r in side_b)
-            for spec in cfg.sources:
-                sid = spec.source_id
-                stats.stages.append(
-                    StageStats(
-                        stage="split",
-                        source_id=sid,
-                        lines_in=dedup_kept[sid],
-                        lines_out=dedup_kept[sid],
-                        extra={"side_a": per_source_a[sid], "side_b": per_source_b[sid]},
-                    )
-                )
-            bpe_corpus = side_a  # the pretraining side feeds the tokenizer
-
+            bpe_corpus = _split(cfg, kept, tmp_dir, stats)
         if cfg.tokenizer_cfg is not None:
-            try:
-                model = learn_bpe((r.text for r in bpe_corpus), cfg.tokenizer_cfg)
-            except ValueError as e:
-                raise PipelineError("train-bpe", str(e)) from e
-            save_model(model, tmp_dir / "bpe.merges.txt", tmp_dir / "bpe.vocab.txt")
-            stats.stages.append(
-                StageStats(
-                    stage="train-bpe",
-                    source_id="*",
-                    lines_in=len(bpe_corpus),
-                    lines_out=len(bpe_corpus),
-                    extra={"vocab_size": len(model.vocab), "merges": len(model.merges)},
-                )
-            )
+            _train_bpe(cfg, bpe_corpus, tmp_dir, stats)
 
         jsonl, table = report_stats(stats)
         (tmp_dir / "stats.jsonl").write_text(jsonl, encoding="utf-8")
         (tmp_dir / "stats.txt").write_text(table, encoding="utf-8")
-
         for name in os.listdir(tmp_dir):
             os.replace(tmp_dir / name, out_dir / name)
-    finally:
-        if tmp_dir.exists():
-            shutil.rmtree(tmp_dir)
 
     if log is not None:
         print(f"build finished in {time.monotonic() - t0:.1f}s -> {out_dir}", file=log)

@@ -78,6 +78,13 @@ def record_unit_key(rec: SentenceRecord, unit: SplitUnit) -> str:
     return f"{rec.source_id}{_KEY_SEP}{rec.line_no}"
 
 
+def _partition(items: Sequence, keys: list[str], cfg: SplitConfig) -> tuple[list, list]:
+    side_a = assign_split(keys, cfg)
+    a = [item for item, key in zip(items, keys) if key in side_a]
+    b = [item for item, key in zip(items, keys) if key not in side_a]
+    return a, b
+
+
 def split_corpus(
     records: Iterable[SentenceRecord],
     cfg: SplitConfig,
@@ -85,10 +92,7 @@ def split_corpus(
     """Partition records into (A, B); with unit=DOCUMENT all records sharing a
     source_id move together. Input order is preserved within each side."""
     records = list(records)
-    side_a = assign_split((record_unit_key(r, cfg.unit) for r in records), cfg)
-    a = [r for r in records if record_unit_key(r, cfg.unit) in side_a]
-    b = [r for r in records if record_unit_key(r, cfg.unit) not in side_a]
-    return a, b
+    return _partition(records, [record_unit_key(r, cfg.unit) for r in records], cfg)
 
 
 def split_articles(
@@ -97,7 +101,4 @@ def split_articles(
 ) -> tuple[list[list[str]], list[list[str]]]:
     """Partition whole articles (each one split unit, keyed by its position)."""
     keys = [f"article{_KEY_SEP}{i}" for i in range(len(articles))]
-    side_a = assign_split(keys, cfg)
-    a = [art for k, art in zip(keys, articles) if k in side_a]
-    b = [art for k, art in zip(keys, articles) if k not in side_a]
-    return a, b
+    return _partition(articles, keys, cfg)

@@ -34,6 +34,26 @@ def test_ingest_paired(tmp_path):
     assert out.read_text(encoding="utf-8") == "isa\ndalawa\n"
 
 
+def test_ingest_rejects_wrong_input_count(tmp_path, capsys):
+    first = tmp_path / "a.txt"
+    second = tmp_path / "b.txt"
+    first.write_text("a b c d\tisa dalawa tatlo apat\n", encoding="utf-8")
+    second.write_text("e f g h\tlima anim pito walo\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    for fmt in ("plain", "tsv"):
+        assert run_cli("ingest", first, second, "--format", fmt, "--out", out) == 1
+        assert f"{fmt} format takes exactly one input file" in capsys.readouterr().err
+    assert run_cli("ingest", first, "--format", "paired", "--out", out) == 1
+    assert "paired format takes exactly two input files" in capsys.readouterr().err
+
+
+def test_ingest_missing_input_leaves_output_untouched(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("previous output\n", encoding="utf-8")
+    assert run_cli("ingest", tmp_path / "missing.txt", "--out", out) == 1
+    assert out.read_text(encoding="utf-8") == "previous output\n"
+
+
 def test_filter_command_with_config(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("\n".join(PIPELINE_SIX_LINES) + "\n", encoding="utf-8")

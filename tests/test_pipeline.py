@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from corpuskit.filters import FilterConfig
@@ -102,8 +104,13 @@ def test_duplicated_source_equals_single_source_after_dedup(tmp_path, six_line_s
         sources=[SourceSpec("a", six_line_source), SourceSpec("b", six_line_source)],
         output_dir=tmp_path / "out2",
     )
-    run_pipeline(twice_cfg, log=None)
+    stats = run_pipeline(twice_cfg, log=None)
     assert (twice_cfg.output_dir / "corpus.txt").read_bytes() == once
+
+    dedup = {s.source_id: s for s in stats.stages if s.stage == "dedup"}
+    assert (dedup["a"].lines_in, dedup["a"].lines_out, dedup["a"].duplicates_dropped) == (2, 1, 1)
+    assert (dedup["b"].lines_in, dedup["b"].lines_out, dedup["b"].duplicates_dropped) == (2, 0, 2)
+    assert [s.stage for s in stats.stages] == ["ingest", "filter"] * 2 + ["dedup"] * 2
 
 
 def test_empty_source_list(tmp_path):
@@ -120,12 +127,15 @@ def test_empty_source_list(tmp_path):
 def _write_mixed_sources(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text(
-        "\n".join(PIPELINE_SIX_LINES + [f"karagdagang pangungusap bilang {i} dito" for i in range(30)]) + "\n",
+        "\n".join(PIPELINE_SIX_LINES + [""] + [f"karagdagang pangungusap bilang {i} dito" for i in range(30)]) + "\n",
         encoding="utf-8",
     )
     tsv = tmp_path / "pairs.tsv"
     tsv.write_text(
-        "".join(f"english sentence {i}\tpangungusap na isinalin bilang {i}\n" for i in range(20)),
+        "".join(f"english sentence {i}\tpangungusap na isinalin bilang {i}\n" for i in range(20))
+        + "walang tab ang linyang ito\n"  # Malformed
+        + "english only here\t\n"  # EmptySide
+        + "a repeated line\tkaragdagang pangungusap bilang 3 dito\n",  # duplicate of a web line
         encoding="utf-8",
     )
     left = tmp_path / "left.txt"
@@ -139,9 +149,22 @@ def _write_mixed_sources(tmp_path):
     ]
 
 
+# SHA-256 of every artifact of the mixed-source build below; a refactor of
+# the build must reproduce these bytes exactly.
+MIXED_BUILD_SHA256 = {
+    "corpus.txt": "ad8a792cee0c627b64eab6a4e62f143d5f29b598305ca9e6117058345fd9529a",
+    "split_a.txt": "4a399344329f7db68192f2ec27d95a0287303f4b7de21930ace0a716eb731acf",
+    "split_b.txt": "fb51e2d286f7e39e7da97c8c623855833f2a03804e32055143c386f9c91fd060",
+    "bpe.merges.txt": "eea1a343d8dd35f97522c37431296d85645b56dc74cd36a98ee7785c09b5adbc",
+    "bpe.vocab.txt": "ad257b260b9056d1c72ce74837b3c0445b2f20568ee0b12ca754e04cb423cbd5",
+    "stats.jsonl": "63fd1199f6115a27e84a2d82975ef989b60dc6e57094a4386fe65192f5b5f5a2",
+    "stats.txt": "52c846632ccd44ba911a1930dae8283d24d06a7eda1c3443ee73286f648131ba",
+    "rejects.tsv": "d2661aebaec4b46a87b257afb9446990a61b54dbf0df783d28cc0dbe2386368a",
+}
+
+
 def test_full_build_is_byte_deterministic(tmp_path):
     sources = _write_mixed_sources(tmp_path)
-    outputs = []
     for run in range(2):
         cfg = PipelineConfig(
             sources=sources,
@@ -151,12 +174,12 @@ def test_full_build_is_byte_deterministic(tmp_path):
             tokenizer_cfg=TokenizerConfig(vocab_size=120),
         )
         run_pipeline(cfg, log=None)
-        outputs.append({
-            name: (cfg.output_dir / name).read_bytes()
-            for name in ("corpus.txt", "split_a.txt", "split_b.txt",
-                         "bpe.merges.txt", "bpe.vocab.txt", "stats.jsonl", "stats.txt", "rejects.tsv")
-        })
-    assert outputs[0] == outputs[1]
+        digests = {
+            name: hashlib.sha256((cfg.output_dir / name).read_bytes()).hexdigest()
+            for name in MIXED_BUILD_SHA256
+        }
+        assert digests == MIXED_BUILD_SHA256
+        assert sorted(p.name for p in cfg.output_dir.iterdir()) == sorted(MIXED_BUILD_SHA256)
 
 
 def test_split_outputs_partition_corpus(tmp_path):
@@ -211,7 +234,18 @@ def test_failure_preserves_previous_outputs(tmp_path, six_line_source):
         run_pipeline(failing, log=None)
     assert "train-bpe" in str(exc.value)
     assert (cfg.output_dir / "corpus.txt").read_bytes() == before
-    assert not (cfg.output_dir / ".build-tmp").exists()
+    assert not list(cfg.output_dir.glob(".build-*"))
+
+
+def test_build_leaves_foreign_staging_files_alone(tmp_path, six_line_source):
+    cfg = _cfg(tmp_path, [SourceSpec("mixed", six_line_source)])
+    foreign = cfg.output_dir / ".build-tmp" / "foreign.txt"
+    foreign.parent.mkdir(parents=True)
+    foreign.write_text("another build's staging file\n", encoding="utf-8")
+    run_pipeline(cfg, log=None)
+    assert foreign.read_text(encoding="utf-8") == "another build's staging file\n"
+    assert (cfg.output_dir / "corpus.txt").read_text(encoding="utf-8") == "magandang umaga sa inyong lahat\n"
+    assert [p.name for p in cfg.output_dir.glob(".build-*")] == [".build-tmp"]
 
 
 def test_encoding_error_is_stage_tagged(tmp_path):
