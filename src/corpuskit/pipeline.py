@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
 from .core import CorpusError, SentenceRecord
@@ -123,29 +123,42 @@ class PipelineStats:
 # ---------------------------------------------------------------------------
 # Config document
 
-def _parser() -> configparser.ConfigParser:
-    p = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    p.optionxform = str  # keep case of keys and values
-    return p
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
 
 
-_FILTER_FLOAT_KEYS = ("nonlatin_max_ratio", "awl_min", "awl_max")
-_FILTER_INT_KEYS = ("min_tokens", "max_tokens", "punct_run_max")
+# Every option each section kind accepts, with the function that converts
+# its text. The names are the fields of the config dataclass the section
+# builds, so a section's converted options are that dataclass's arguments.
+_OPTIONS: dict[str, dict[str, Callable[[str], Any]]] = {
+    "pipeline": {"output_dir": Path, "seed": int},
+    "filter": {"nonlatin_max_ratio": float, "min_tokens": int, "max_tokens": int,
+               "punct_run_max": int, "awl_min": float, "awl_max": float, "html_patterns": _words},
+    "split": {"ratio": float, "unit": SplitUnit},
+    "tokenizer": {"vocab_size": int, "character_coverage": float, "special_tokens": _words},
+    "source": {"path": Path, "path2": Path, "format": str, "side": Side},
+}
+
+
+def _convert(kind: str, options: Mapping[str, str], section: str | None = None) -> dict[str, Any]:
+    """Convert one section's option text through _OPTIONS, rejecting unknown
+    options and bad values; section, when given, is named in the message."""
+    where = f" in [{section}]" if section else ""
+    table = _OPTIONS[kind]
+    out = {}
+    for key, text in options.items():
+        if key not in table:
+            raise ValueError(f"unknown {kind} option '{key}'{where}")
+        try:
+            out[key] = table[key](text)
+        except ValueError as e:
+            raise ValueError(f"bad value for {kind} option '{key}'{where}: {e}") from None
+    return out
 
 
 def filter_config_from_mapping(mapping: Mapping[str, str]) -> FilterConfig:
     """Build a FilterConfig from flat key/value text, rejecting unknown keys."""
-    kwargs = {}
-    for key, value in mapping.items():
-        if key in _FILTER_FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _FILTER_INT_KEYS:
-            kwargs[key] = int(value)
-        elif key == "html_patterns":
-            kwargs[key] = tuple(value.split())
-        else:
-            raise ValueError(f"unknown filter option '{key}'")
-    return FilterConfig(**kwargs)
+    return FilterConfig(**_convert("filter", mapping))
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -164,7 +177,8 @@ def parse_flat_config(text: str) -> dict[str, str]:
 
 def load_config(path: Path | str) -> PipelineConfig:
     """Read the build config document. See README for the full schema."""
-    parser = _parser()
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.optionxform = str  # keep case of keys and values
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f, source=str(path))
@@ -173,59 +187,28 @@ def load_config(path: Path | str) -> PipelineConfig:
 
     if "pipeline" not in parser:
         raise ValueError(f"{path}: missing [pipeline] section")
-    pipe = parser["pipeline"]
-    output_dir = Path(pipe.get("output_dir", "build"))
-    seed = int(pipe.get("seed", "0"))
-
-    filter_cfg = FilterConfig()
-    if "filter" in parser:
-        filter_cfg = filter_config_from_mapping(dict(parser["filter"]))
-
-    split_cfg = None
-    if "split" in parser:
-        sec = parser["split"]
-        split_cfg = SplitConfig(
-            ratio=float(sec.get("ratio", "0.5")),
-            seed=0,  # replaced by a named sub-seed at run time
-            unit=SplitUnit(sec.get("unit", "document")),
-        )
-
-    tokenizer_cfg = None
-    if "tokenizer" in parser:
-        sec = parser["tokenizer"]
-        kwargs: dict = {}
-        if "vocab_size" in sec:
-            kwargs["vocab_size"] = int(sec["vocab_size"])
-        if "character_coverage" in sec:
-            kwargs["character_coverage"] = float(sec["character_coverage"])
-        if "special_tokens" in sec:
-            kwargs["special_tokens"] = tuple(sec["special_tokens"].split())
-        tokenizer_cfg = TokenizerConfig(**kwargs)
-
-    sources = []
+    if parser.defaults():  # [DEFAULT] options would leak into every section
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
+    cfg = PipelineConfig(sources=[], output_dir=Path("build"))
     for section in parser.sections():
-        if not section.startswith("source."):
-            continue
-        sec = parser[section]
-        source_id = section[len("source."):]
-        sources.append(
-            SourceSpec(
-                source_id=source_id,
-                path=Path(sec["path"]),
-                format=sec.get("format", "plain"),
-                side=Side(sec.get("side", "target")),
-                path2=Path(sec["path2"]) if "path2" in sec else None,
-            )
-        )
-
-    return PipelineConfig(
-        sources=sources,
-        output_dir=output_dir,
-        seed=seed,
-        filter_cfg=filter_cfg,
-        split_cfg=split_cfg,
-        tokenizer_cfg=tokenizer_cfg,
-    )
+        kind, _, source_id = section.partition(".")
+        if kind not in _OPTIONS or (kind == "source") != bool(source_id):
+            raise ValueError(f"{path}: unknown section [{section}]")
+        options = _convert(kind, parser[section], section)
+        if kind == "pipeline":
+            cfg = replace(cfg, **options)
+        elif kind == "filter":
+            cfg.filter_cfg = FilterConfig(**options)
+        elif kind == "split":
+            # the seed is replaced by a named sub-seed at run time
+            cfg.split_cfg = SplitConfig(**{"ratio": 0.5, **options}, seed=0)
+        elif kind == "tokenizer":
+            cfg.tokenizer_cfg = TokenizerConfig(**options)
+        elif "path" not in options:
+            raise ValueError(f"{path}: [{section}] has no path")
+        else:
+            cfg.sources.append(SourceSpec(source_id, **options))
+    return cfg
 
 
 def validate_config(cfg: PipelineConfig) -> list[str]:
@@ -318,7 +301,7 @@ def _ingest_filter_dedup(cfg: PipelineConfig, tmp_dir: Path, stats: PipelineStat
                         seen.add(key)
                         kept.append(rec)
                         n_kept += 1
-            except (CorpusError, OSError) as e:
+            except (CorpusError, OSError, ValueError) as e:
                 raise PipelineError("ingest", str(e), spec.source_id) from e
 
             bytes_in = Path(spec.path).stat().st_size
@@ -401,23 +384,17 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
 # Reporting
 
 def stats_from_jsonl(text: str) -> PipelineStats:
+    """Read a stats.jsonl report back; a malformed line is a ValueError naming it."""
     stats = PipelineStats()
-    for line in text.splitlines():
+    # split on \n only: records are written with ensure_ascii=False, so a
+    # source id may hold U+2028 or U+0085, which splitlines() breaks on
+    for ln, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        stats.stages.append(
-            StageStats(
-                stage=rec["stage"],
-                source_id=rec["source_id"],
-                lines_in=rec["lines_in"],
-                lines_out=rec["lines_out"],
-                rejects=rec.get("rejects", {}),
-                duplicates_dropped=rec.get("duplicates_dropped", 0),
-                bytes_in=rec.get("bytes_in", 0),
-                extra=rec.get("extra", {}),
-            )
-        )
+        try:
+            stats.stages.append(StageStats(**json.loads(line)))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"line {ln}: {e}") from None
     return stats
 
 

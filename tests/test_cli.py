@@ -1,3 +1,5 @@
+import pytest
+
 from corpuskit.cli import main
 
 from fixtures import PIPELINE_SIX_LINES
@@ -206,3 +208,32 @@ def test_unreadable_config_is_a_parse_error(tmp_path, capsys):
     conf.write_text("[pipeline\noutput_dir = x\n", encoding="utf-8")
     assert run_cli("build", "--config", conf) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ("[tokeniser]\nvocab_size = 30\n", "[tokeniser]"),
+    ("[source.web]\npath = {src}\nformt = tsv\n", "'formt'"),
+    ("[source.web]\nformat = plain\n", "[source.web]"),
+    ("seed = x\n[source.web]\npath = {src}\n", "option 'seed' in [pipeline]"),
+], ids=["unknown-section", "unknown-option", "no-path", "bad-value"])
+def test_build_rejects_bad_config_in_one_line(tmp_path, capsys, doc, fragment):
+    src = tmp_path / "src.txt"
+    src.write_text("\n".join(PIPELINE_SIX_LINES) + "\n", encoding="utf-8")
+    conf = tmp_path / "build.ini"
+    conf.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n" + doc.format(src=src), encoding="utf-8")
+    assert run_cli("build", "--config", conf) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [build] ") and err.count("\n") == 1
+    assert fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["{}", "[1]", '{"stage": "x", "source_id": "y", "bogus": 1}', "not json"],
+                         ids=["missing-fields", "not-an-object", "unknown-field", "not-json"])
+def test_stats_rejects_malformed_report(tmp_path, capsys, bad):
+    report = tmp_path / "stats.jsonl"
+    report.write_text('{"stage": "ingest", "source_id": "s", "lines_in": 1, "lines_out": 1}\n' + bad + "\n",
+                      encoding="utf-8")
+    assert run_cli("stats", "--in", report) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [stats] line 2: ") and err.count("\n") == 1

@@ -1,10 +1,14 @@
 import hashlib
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from corpuskit.filters import FilterConfig
 from corpuskit.ingest import Side
 from corpuskit.pipeline import (
+    _OPTIONS,
     PipelineConfig,
     PipelineError,
     PipelineStats,
@@ -213,6 +217,12 @@ def test_stats_roundtrip_through_jsonl(tmp_path, six_line_source):
     assert report_stats(reloaded) == report_stats(stats)
 
 
+def test_stats_roundtrip_with_unicode_line_separators_in_source_id():
+    stats = PipelineStats([StageStats("ingest", "a\u2028b\x85c", lines_in=2, lines_out=1, rejects={"Empty": 1})])
+    jsonl, _ = report_stats(stats)
+    assert stats_from_jsonl(jsonl) == stats
+
+
 def test_report_refuses_inconsistent_stats():
     broken = PipelineStats([StageStats("filter", "s", lines_in=10, lines_out=3)])
     with pytest.raises(ValueError, match="filter"):
@@ -256,6 +266,28 @@ def test_encoding_error_is_stage_tagged(tmp_path):
         run_pipeline(cfg, log=None)
     msg = str(exc.value)
     assert "[ingest]" in msg and "badsrc" in msg and "line 2" in msg
+
+
+def test_unequal_paired_files_are_stage_tagged(tmp_path):
+    left = tmp_path / "left.txt"
+    right = tmp_path / "right.txt"
+    left.write_text("one\ntwo\n", encoding="utf-8")
+    right.write_text("isa\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, [SourceSpec("pairs", left, format="paired", path2=right)])
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(cfg, log=None)
+    msg = str(exc.value)
+    assert "[ingest]" in msg and "pairs" in msg and "target file ends at line 1" in msg
+
+
+def test_interior_carriage_return_is_stage_tagged(tmp_path):
+    bad = tmp_path / "cr.txt"
+    bad.write_bytes(b"ok line\nbroken\rline\n")
+    cfg = _cfg(tmp_path, [SourceSpec("crsrc", bad)])
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(cfg, log=None)
+    msg = str(exc.value)
+    assert "[ingest]" in msg and "crsrc" in msg and "line terminator" in msg
 
 
 # --- config documents ---------------------------------------------------------------
@@ -323,3 +355,57 @@ def test_flat_config_rejects_unknown_keys():
 def test_flat_config_rejects_bad_lines():
     with pytest.raises(ValueError, match="line 1"):
         parse_flat_config("not a pair\n")
+
+
+def _field_names(cls, *skip):
+    return {f.name for f in fields(cls)} - set(skip)
+
+
+def test_option_table_names_every_config_field():
+    assert set(_OPTIONS) == {"pipeline", "filter", "split", "tokenizer", "source"}
+    assert set(_OPTIONS["pipeline"]) == {"output_dir", "seed"} <= _field_names(PipelineConfig)
+    assert set(_OPTIONS["filter"]) == _field_names(FilterConfig)
+    assert set(_OPTIONS["split"]) == _field_names(SplitConfig, "seed")  # a sub-seed at run time
+    assert set(_OPTIONS["tokenizer"]) == _field_names(TokenizerConfig)
+    assert set(_OPTIONS["source"]) == _field_names(SourceSpec, "source_id")  # the section name
+
+
+def test_config_defaults(tmp_path, six_line_source):
+    doc = tmp_path / "build.ini"
+    doc.write_text(f"[pipeline]\n\n[split]\n\n[source.web]\npath = {six_line_source}\n", encoding="utf-8")
+    cfg = load_config(doc)
+    assert cfg.output_dir == Path("build") and cfg.seed == 0
+    assert cfg.split_cfg == SplitConfig(ratio=0.5, seed=0)
+    assert cfg.tokenizer_cfg is None and cfg.filter_cfg == FilterConfig()
+    assert cfg.sources == [SourceSpec("web", six_line_source)]
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    doc = tmp_path / "build.ini"
+    doc.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+    cfg = load_config(doc)
+    assert cfg.split_cfg == SplitConfig(ratio=0.6, seed=0, unit=SplitUnit.DOCUMENT)
+    assert cfg.tokenizer_cfg.special_tokens == ("<unk>", "<pad>", "<s>", "</s>", "<mask>")
+    assert [s.source_id for s in cfg.sources] == ["oscar", "ccaligned", "subs"]
+    assert cfg.sources[2].path2 == Path("data/subs.fil.txt")
+
+
+@pytest.mark.parametrize("doc, fragments", [
+    ("[pipeline]\n[tokeniser]\nvocab_size = 30\n", ["unknown section [tokeniser]"]),
+    ("[pipeline]\n[source.web]\npath = a.txt\nformt = tsv\n", ["unknown source option 'formt'", "[source.web]"]),
+    ("[pipeline]\n[split]\nratios = 0.6\n", ["unknown split option 'ratios'", "[split]"]),
+    ("[pipeline]\n[source.web]\nformat = plain\n", ["[source.web] has no path"]),
+    ("[pipeline]\nseed = x\n", ["'seed'", "[pipeline]", "'x'"]),
+    ("[pipeline]\n[source.web]\npath = a.txt\nside = left\n", ["'side'", "[source.web]", "'left'"]),
+    ("[pipeline]\n[source]\npath = a.txt\n", ["unknown section [source]"]),
+    ("[DEFAULT]\nformat = tsv\n[pipeline]\n", ["unknown section [DEFAULT]"]),
+], ids=["unknown-section", "unknown-source-option", "unknown-split-option", "no-path", "bad-int",
+        "bad-side", "source-without-id", "default-section"])
+def test_config_errors_name_section_and_option(tmp_path, doc, fragments):
+    path = tmp_path / "build.ini"
+    path.write_text(doc, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_config(path)
+    for fragment in fragments:
+        assert fragment in str(exc.value)
