@@ -44,7 +44,6 @@ from .ingest import (
     read_articles_file,
     read_paired_bitext,
     read_plain_corpus,
-    read_plain_file,
     read_tsv_bitext,
 )
 from .labels import LABEL_FIELDS, decode_label_flags, encode_label_flags

@@ -61,11 +61,20 @@ class BpeModel:
     special_tokens: list[str]
     end_of_word_marker: str = WORD_END
     config: TokenizerConfig = field(default_factory=TokenizerConfig)
-    # lazy derived lookups; rebuilt per model instance, never persisted
-    _id_to_subword: dict[int, str] = field(default_factory=dict, repr=False, compare=False)
-    _word_cache: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
-    _ranks: dict[tuple[str, str], int] | None = field(default=None, repr=False, compare=False)
-    _alphabet: set[str] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Derived lookups, built once per instance and never persisted. The
+        # word cache starts with the specials, so they encode atomically.
+        specials = set(self.special_tokens)
+        marker = self.end_of_word_marker
+        self._ranks = {pair: rank for rank, pair in reversed(list(enumerate(self.merges)))}  # first rank wins
+        self._alphabet = {s for s in self.vocab if len(s) == 1 and s not in specials}
+        self._id_to_subword = {i: s for s, i in self.vocab.items()}
+        self._surface = {  # id -> decoded text; specials and word ends carry the space
+            i: s + " " if s in specials else s[: -len(marker)] + " " if s.endswith(marker) else s
+            for i, s in self._id_to_subword.items()
+        }
+        self._word_cache = {tok: (self.vocab[tok],) for tok in self.special_tokens}
 
     @property
     def unk_token(self) -> str:
@@ -76,23 +85,10 @@ class BpeModel:
         return self.vocab[self.unk_token]
 
     def id_to_subword(self, idx: int) -> str:
-        if not self._id_to_subword:
-            self._id_to_subword.update({i: s for s, i in self.vocab.items()})
         return self._id_to_subword[idx]
-
-    def merge_ranks(self) -> dict[tuple[str, str], int]:
-        if self._ranks is None:
-            ranks: dict[tuple[str, str], int] = {}
-            for i, pair in enumerate(self.merges):
-                ranks.setdefault(pair, i)
-            self._ranks = ranks
-        return self._ranks
 
     def alphabet(self) -> set[str]:
         """Single characters with a plain-form id (the trained alphabet)."""
-        if self._alphabet is None:
-            specials = set(self.special_tokens)
-            self._alphabet = {s for s in self.vocab if len(s) == 1 and s not in specials}
         return self._alphabet
 
 
@@ -281,8 +277,8 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
 
 
 def _segment_word(word: str, model: BpeModel) -> list[str]:
-    ranks = model.merge_ranks()
-    symbols = list(_word_symbols(word, model.alphabet(), model.unk_token, model.end_of_word_marker))
+    ranks = model._ranks
+    symbols = list(_word_symbols(word, model._alphabet, model.unk_token, model.end_of_word_marker))
     while len(symbols) >= 2:
         best_rank = None
         best_i = -1
@@ -304,17 +300,11 @@ def encode(model: BpeModel, text: str) -> list[int]:
     map to the unknown id. Casing is untouched.
     """
     ids: list[int] = []
-    vocab = model.vocab
-    specials = set(model.special_tokens)
+    cache, vocab, unk_id = model._word_cache, model.vocab, model.unk_id
     for word in text.split():
-        if word in specials:
-            ids.append(vocab[word])
-            continue
-        cached = model._word_cache.get(word)
+        cached = cache.get(word)
         if cached is None:
-            pieces = _segment_word(word, model)
-            cached = tuple(vocab.get(p, model.unk_id) for p in pieces)
-            model._word_cache[word] = cached
+            cached = cache[word] = tuple(vocab.get(p, unk_id) for p in _segment_word(word, model))
         ids.extend(cached)
     return ids
 
@@ -325,23 +315,11 @@ def decode(model: BpeModel, ids: Iterable[int]) -> str:
     Unknown ids in the input reproduce the unknown token surface, not the
     original characters. An id outside the vocabulary is an error.
     """
-    specials = set(model.special_tokens)
-    marker = model.end_of_word_marker
-    parts: list[str] = []
-    for idx in ids:
-        try:
-            sub = model.id_to_subword(idx)
-        except KeyError:
-            raise ValueError(f"id {idx} is not in the vocabulary") from None
-        if sub in specials:
-            parts.append(sub)
-            parts.append(" ")
-        elif sub.endswith(marker):
-            parts.append(sub[: -len(marker)])
-            parts.append(" ")
-        else:
-            parts.append(sub)
-    out = "".join(parts)
+    surface = model._surface
+    try:
+        out = "".join([surface[idx] for idx in ids])
+    except KeyError as e:
+        raise ValueError(f"id {e.args[0]} is not in the vocabulary") from None
     return out[:-1] if out.endswith(" ") else out
 
 
@@ -411,6 +389,9 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
             sub, idx = line.rstrip("\n").split("\t")
             vocab[sub] = int(idx)
     specials = fields["specials"].split(" ")
+    missing = [tok for tok in specials if tok not in vocab]
+    if missing:
+        raise ValueError(f"{vocab_path}: special tokens missing from the vocabulary: {' '.join(missing)}")
     cfg = TokenizerConfig(
         vocab_size=int(fields["vocab_size"]),
         character_coverage=float(fields["coverage"]),

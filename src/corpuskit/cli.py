@@ -19,6 +19,7 @@ from . import bpe, dedup, nli, pipeline, tweets
 from .core import CorpusError
 from .filters import FilterConfig, apply_filters
 from .ingest import (
+    SKIP_KINDS,
     Side,
     extract_bitext_side,
     read_paired_bitext,
@@ -54,7 +55,7 @@ def cmd_ingest(args) -> int:
         for rec in records:
             out.write(rec.text + "\n")
             n += 1
-    skipped = counts["empty"] + counts["malformed"] + counts["empty_side"]
+    skipped = sum(counts[kind] for kind in SKIP_KINDS)
     print(f"read={counts['lines']} extracted={n} skipped={skipped}", file=sys.stderr)
     return 0
 
@@ -144,9 +145,9 @@ def cmd_train_bpe(args) -> int:
 
 def cmd_encode(args) -> int:
     model = bpe.load_model(args.merges, args.vocab)
-    with open(args.infile, "r", encoding="utf-8") as f, _open_out(args.out) as out:
+    with open(args.infile, "r", encoding="utf-8", newline="\n") as f, _open_out(args.out) as out:
         for line in f:
-            ids = bpe.encode(model, line.rstrip("\n"))
+            ids = bpe.encode(model, line.rstrip("\r\n"))
             out.write(" ".join(map(str, ids)) + "\n")
     return 0
 
@@ -154,9 +155,9 @@ def cmd_encode(args) -> int:
 def cmd_prep_tweets(args) -> int:
     cfg = tweets.DEFAULT_TWEET_CONFIG
     n = 0
-    with open(args.infile, "r", encoding="utf-8") as f, _open_out(args.out) as out:
+    with open(args.infile, "r", encoding="utf-8", newline="\n") as f, _open_out(args.out) as out:
         for line in f:
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             text, sep, label = line.rpartition("\t")

@@ -12,10 +12,15 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import SentenceRecord, decode_line, normalize_line
+
+
+# Counter keys the readers skip lines under, with their names in the build report.
+SKIP_KINDS = {"empty": "Empty", "malformed": "Malformed", "empty_side": "EmptySide"}
 
 
 class Side(enum.Enum):
@@ -45,20 +50,14 @@ def read_plain_corpus(
     counts: Counter | None = None,
 ) -> Iterator[SentenceRecord]:
     """One record per non-empty normalized line; blanks are skipped and counted."""
+    counts = Counter() if counts is None else counts
     for line_no, raw in enumerate(lines, start=1):
         text = _as_text(raw, source_id, line_no)
-        if counts is not None:
-            counts["lines"] += 1
+        counts["lines"] += 1
         if not text:
-            if counts is not None:
-                counts["empty"] += 1
+            counts["empty"] += 1
             continue
         yield SentenceRecord(text, source_id, line_no)
-
-
-def read_plain_file(path: Path | str, source_id: str, counts: Counter | None = None) -> Iterator[SentenceRecord]:
-    with open(path, "rb") as f:
-        yield from read_plain_corpus(f, source_id, counts)
 
 
 def read_tsv_bitext(
@@ -69,18 +68,16 @@ def read_tsv_bitext(
     """Parse source<TAB>target lines, splitting on the first tab before either
     side is normalized, so an empty side survives for extraction to count.
     Blank lines and lines without a tab are skipped and counted."""
+    counts = Counter() if counts is None else counts
     for line_no, raw in enumerate(lines, start=1):
         line = _decoded(raw, source_id, line_no)
-        if counts is not None:
-            counts["lines"] += 1
+        counts["lines"] += 1
         if not normalize_line(line):
-            if counts is not None:
-                counts["empty"] += 1
+            counts["empty"] += 1
             continue
         left, sep, right = line.partition("\t")
         if not sep:
-            if counts is not None:
-                counts["malformed"] += 1
+            counts["malformed"] += 1
             continue
         yield BitextRecord(normalize_line(left), normalize_line(right))
 
@@ -92,20 +89,12 @@ def read_paired_bitext(
     counts: Counter | None = None,
 ) -> Iterator[BitextRecord]:
     """Zip two parallel files line by line; unequal lengths are an error."""
-    src_iter = iter(source_lines)
-    tgt_iter = iter(target_lines)
-    line_no = 0
-    while True:
-        src = next(src_iter, None)
-        tgt = next(tgt_iter, None)
-        if src is None and tgt is None:
-            return
-        line_no += 1
+    counts = Counter() if counts is None else counts
+    for line_no, (src, tgt) in enumerate(zip_longest(source_lines, target_lines), start=1):
         if src is None or tgt is None:
             short = "source" if src is None else "target"
             raise ValueError(f"paired corpus '{source_id}': {short} file ends at line {line_no - 1}")
-        if counts is not None:
-            counts["lines"] += 1
+        counts["lines"] += 1
         yield BitextRecord(
             _as_text(src, source_id, line_no),
             _as_text(tgt, source_id, line_no),
@@ -120,11 +109,11 @@ def extract_bitext_side(
 ) -> Iterator[SentenceRecord]:
     """Keep one language side, in order. Pairs with an empty chosen side are
     skipped and counted; duplicates are left for the dedup stage."""
+    counts = Counter() if counts is None else counts
     for idx, rec in enumerate(records, start=1):
         text = rec.source_text if side is Side.SOURCE else rec.target_text
         if not text:
-            if counts is not None:
-                counts["empty_side"] += 1
+            counts["empty_side"] += 1
             continue
         yield SentenceRecord(text, source_id, idx)
 
@@ -135,22 +124,12 @@ def read_articles(
     counts: Counter | None = None,
 ) -> Iterator[list[str]]:
     """Blank-line separated blocks of sentences, e.g. one news article each."""
-    block: list[str] = []
-    line_no = 0
-    for raw in lines:
-        line_no += 1
-        text = _as_text(raw, source_id, line_no)
-        if text:
-            block.append(text)
-        elif block:
-            if counts is not None:
-                counts["articles"] += 1
-            yield block
-            block = []
-    if block:
-        if counts is not None:
+    counts = Counter() if counts is None else counts
+    texts = (_as_text(raw, source_id, line_no) for line_no, raw in enumerate(lines, start=1))
+    for nonblank, block in groupby(texts, key=bool):
+        if nonblank:
             counts["articles"] += 1
-        yield block
+            yield list(block)
 
 
 def read_articles_file(path: Path | str, counts: Counter | None = None) -> Iterator[list[str]]:

@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -29,6 +29,7 @@ from .core import CorpusError, SentenceRecord
 from .dedup import dedup_key
 from .filters import FilterConfig, apply_filters
 from .ingest import (
+    SKIP_KINDS,
     Side,
     extract_bitext_side,
     read_paired_bitext,
@@ -267,9 +268,6 @@ def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecor
         raise ValueError(f"unknown source format '{spec.format}'")
 
 
-_INGEST_REJECT_KEYS = {"empty": "Empty", "malformed": "Malformed", "empty_side": "EmptySide"}
-
-
 def _write_lines(path: Path, records: Iterable[SentenceRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for rec in records:
@@ -307,7 +305,7 @@ def _ingest_filter_dedup(cfg: PipelineConfig, tmp_dir: Path, stats: PipelineStat
             bytes_in = Path(spec.path).stat().st_size
             if spec.path2 is not None:
                 bytes_in += Path(spec.path2).stat().st_size
-            ingest_rejects = {name: counts[key] for key, name in _INGEST_REJECT_KEYS.items() if counts[key]}
+            ingest_rejects = {name: counts[key] for key, name in SKIP_KINDS.items() if counts[key]}
             stats.stages.append(StageStats("ingest", spec.source_id, lines_in=counts["lines"],
                                            lines_out=n_records, rejects=ingest_rejects, bytes_in=bytes_in))
             stats.stages.append(StageStats("filter", spec.source_id, lines_in=n_records,
@@ -392,10 +390,29 @@ def stats_from_jsonl(text: str) -> PipelineStats:
         if not line.strip():
             continue
         try:
-            stats.stages.append(StageStats(**json.loads(line)))
+            stage = StageStats(**json.loads(line))
         except (TypeError, ValueError) as e:
             raise ValueError(f"line {ln}: {e}") from None
+        problem = _field_type_error(stage)
+        if problem:
+            raise ValueError(f"line {ln}: {problem}")
+        stats.stages.append(stage)
     return stats
+
+
+def _field_type_error(stage: StageStats) -> str | None:
+    # JSON decodes to exact types, so `type(v) is int` also refuses true/false.
+    for f in fields(StageStats):
+        value = getattr(stage, f.name)
+        if f.name in ("stage", "source_id"):
+            ok, want = type(value) is str, "a string"
+        elif f.name in ("rejects", "extra"):
+            ok, want = type(value) is dict and all(type(n) is int for n in value.values()), "an object of integers"
+        else:
+            ok, want = type(value) is int, "an integer"
+        if not ok:
+            return f"'{f.name}' must be {want}, got {value!r}"
+    return None
 
 
 def report_stats(stats: PipelineStats) -> tuple[str, str]:

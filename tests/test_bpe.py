@@ -303,6 +303,15 @@ def test_save_load_roundtrip(tmp_path):
     assert v2.read_bytes() == v1.read_bytes()
 
 
+def test_load_model_names_specials_missing_from_vocab(tmp_path):
+    merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
+    save_model(toy_model(5), merges, vocab)
+    lines = vocab.read_text(encoding="utf-8").splitlines(keepends=True)
+    vocab.write_text("".join(l for l in lines if not l.startswith(("<s>\t", "<mask>\t"))), encoding="utf-8")
+    with pytest.raises(ValueError, match="missing from the vocabulary: <s> <mask>$"):
+        load_model(merges, vocab)
+
+
 def test_saved_models_are_byte_identical_across_trainings(tmp_path):
     save_model(toy_model(10), tmp_path / "a.m", tmp_path / "a.v")
     save_model(toy_model(10), tmp_path / "b.m", tmp_path / "b.v")

@@ -130,6 +130,32 @@ def test_train_encode_roundtrip(tmp_path):
     assert all(tok.isdigit() for tok in ids)
 
 
+def test_encode_keeps_one_line_of_ids_per_input_line(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("low low lower newest newest widest\n", encoding="utf-8")
+    merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
+    assert run_cli("train-bpe", "--in", corpus, "--vocab-size", 30,
+                   "--merges-out", merges, "--vocab-out", vocab) == 0
+    text_in = tmp_path / "text.txt"
+    text_in.write_bytes(b"lowest\rnewest\nwidest low\r\n")  # a lone CR inside a line, then a CRLF ending
+    ids_out = tmp_path / "ids.txt"
+    assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", text_in, "--out", ids_out) == 0
+
+    plain_in = tmp_path / "plain.txt"
+    plain_in.write_text("lowest newest\nwidest low\n", encoding="utf-8")
+    plain_out = tmp_path / "plain_ids.txt"
+    assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", plain_in, "--out", plain_out) == 0
+    assert ids_out.read_bytes() == plain_out.read_bytes()
+
+
+def test_prep_tweets_keeps_one_row_per_input_line(tmp_path):
+    src = tmp_path / "tweets.tsv"
+    src.write_bytes(b"great game @bob\rsee you\t1\nplain text here\t0\r\n")
+    out = tmp_path / "out.tsv"
+    assert run_cli("prep-tweets", "--in", src, "--out", out) == 0
+    assert out.read_text(encoding="utf-8") == "great game [MENTION] see you\t1\nplain text here\t0\n"
+
+
 def test_prep_tweets(tmp_path):
     src = tmp_path / "tweets.tsv"
     src.write_text("RT : @user check http://x.co &amp; reply\t1\nplain text here\t0\n", encoding="utf-8")
@@ -228,8 +254,16 @@ def test_build_rejects_bad_config_in_one_line(tmp_path, capsys, doc, fragment):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bad", ["{}", "[1]", '{"stage": "x", "source_id": "y", "bogus": 1}', "not json"],
-                         ids=["missing-fields", "not-an-object", "unknown-field", "not-json"])
+@pytest.mark.parametrize("bad", ["{}", "[1]", '{"stage": "x", "source_id": "y", "bogus": 1}', "not json",
+                                 '{"stage": "x", "source_id": "y", "rejects": 5}',
+                                 '{"stage": "x", "source_id": "y", "extra": {"side_a": "3"}}',
+                                 '{"stage": 1, "source_id": "y"}',
+                                 '{"stage": "x", "source_id": null}',
+                                 '{"stage": "x", "source_id": "y", "lines_in": true, "lines_out": true}',
+                                 '{"stage": "x", "source_id": "y", "lines_in": 1.0, "lines_out": 1}'],
+                         ids=["missing-fields", "not-an-object", "unknown-field", "not-json",
+                              "rejects-not-object", "extra-not-integers", "stage-not-string",
+                              "source-id-null", "bool-count", "float-count"])
 def test_stats_rejects_malformed_report(tmp_path, capsys, bad):
     report = tmp_path / "stats.jsonl"
     report.write_text('{"stage": "ingest", "source_id": "s", "lines_in": 1, "lines_out": 1}\n' + bad + "\n",
