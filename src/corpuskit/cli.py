@@ -26,7 +26,7 @@ from .ingest import (
     read_plain_corpus,
     read_tsv_bitext,
 )
-from .labels import encode_label_flags
+from .labels import N_FLAGS, encode_label_flags
 from .split import SplitConfig, SplitUnit, split_articles, split_corpus
 
 
@@ -172,13 +172,13 @@ def cmd_prep_tweets(args) -> int:
 
 def cmd_encode_labels(args) -> int:
     n = 0
-    with open(args.infile, "r", encoding="utf-8") as f, _open_out(args.out) as out:
+    with open(args.infile, "r", encoding="utf-8", newline="\n") as f, _open_out(args.out) as out:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             flags = [v.strip() for v in line.split(",")]
-            if any(v not in ("0", "1") for v in flags):
+            if len(flags) != N_FLAGS or any(v not in ("0", "1") for v in flags):
                 raise CorpusError(f"{args.infile}:{ln}: expected 5 binary columns, got {line!r}")
             out.write(f"{encode_label_flags([int(v) for v in flags])}\n")
             n += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -58,6 +59,11 @@ class FilterConfig:
             problems.append(f"punct_run_max must be >= 1, got {self.punct_run_max}")
         if not self.html_patterns:
             problems.append("html_patterns must not be empty")
+        for p in self.html_patterns:
+            # A token holds no whitespace, so such a pattern never matches;
+            # an empty one matches every token.
+            if p.split() != [p]:
+                problems.append(f"html_patterns entries must be non-empty and hold no whitespace, got {p!r}")
         return problems
 
 
@@ -104,6 +110,23 @@ def is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+_REJECT_NON_LATIN = FilterVerdict.reject(RejectReason.NON_LATIN)
+_REJECT_LENGTH = FilterVerdict.reject(RejectReason.LENGTH)
+_REJECT_PUNCT_RUN = FilterVerdict.reject(RejectReason.PUNCT_RUN)
+_REJECT_AVG_WORD_LEN = FilterVerdict.reject(RejectReason.AVG_WORD_LEN)
+_REJECT_HTML = FilterVerdict.reject(RejectReason.HTML)
+
+
+@functools.cache
+def _not_latin() -> re.Pattern:
+    """Codepoints that are neither ASCII nor in a Latin range: the only ones
+    that can count as foreign letters (every ASCII letter is Latin). Compiled
+    on first use, since it takes about a millisecond and ASCII text never
+    needs it."""
+    latin = "".join(rf"\U{lo:08x}-\U{hi:08x}" for lo, hi in _LATIN_RANGES)
+    return re.compile(rf"[^\x00-\x7f{latin}]")
+
+
 def filter_non_latin(text: str, cfg: FilterConfig) -> FilterVerdict:
     """Reject when non-Latin letters exceed the allowed share of visible characters.
 
@@ -111,16 +134,13 @@ def filter_non_latin(text: str, cfg: FilterConfig) -> FilterVerdict:
     codepoints outside the Latin script (digits and punctuation count toward
     the denominator only). Empty text passes; the length filter owns that case.
     """
-    visible = 0
-    foreign = 0
-    for ch in text:
-        if ch.isspace():
-            continue
-        visible += 1
-        if ch.isalpha() and not is_latin(ch):
-            foreign += 1
+    foreign = 0 if text.isascii() else sum(map(str.isalpha, _not_latin().findall(text)))
+    if not foreign and cfg.nonlatin_max_ratio >= 0:
+        return PASS  # a share of 0 never exceeds the threshold
+    # str.split() and str.isspace() share one whitespace predicate.
+    visible = sum(map(len, text.split()))
     if visible > 0 and foreign / visible > cfg.nonlatin_max_ratio:
-        return FilterVerdict.reject(RejectReason.NON_LATIN)
+        return _REJECT_NON_LATIN
     return PASS
 
 
@@ -128,19 +148,40 @@ def filter_length(text: str, cfg: FilterConfig) -> FilterVerdict:
     n = len(tokenize_ws(text))
     if cfg.min_tokens <= n <= cfg.max_tokens:
         return PASS
-    return FilterVerdict.reject(RejectReason.LENGTH)
+    return _REJECT_LENGTH
+
+
+# Candidate class: ASCII punctuation plus every non-ASCII codepoint, a
+# superset of Unicode punctuation that holds no ASCII letter, digit or space.
+# Written as a negated ASCII class, which compiles without a 64K-entry map.
+_PUNCT_CANDIDATES = "[^" + "".join(
+    re.escape(chr(c)) for c in range(0x80) if chr(c) not in _ASCII_PUNCT
+) + "]"
+
+
+@functools.lru_cache(maxsize=16)
+def _punct_run_candidates(punct_run_max: int) -> re.Pattern:
+    # A rejected run is at least max(1, punct_run_max + 1) long, so any
+    # minimum from 1 up to that finds it (the count inside each match
+    # decides); clamping keeps every threshold a valid repeat count.
+    return re.compile(f"{_PUNCT_CANDIDATES}{{{min(max(punct_run_max, 0), 65535) + 1},}}")
 
 
 def filter_punct_run(text: str, cfg: FilterConfig) -> FilterVerdict:
     """Reject tokens like "///": more than punct_run_max consecutive punctuation
-    codepoints, identical or not."""
-    for token in tokenize_ws(text):
+    codepoints, identical or not.
+
+    No whitespace codepoint is punctuation, so a run never crosses tokens and
+    the whole line can be scanned at once. Only maximal runs of candidate
+    codepoints long enough to hold a rejected run are counted one by one.
+    """
+    for m in _punct_run_candidates(cfg.punct_run_max).finditer(text):
         run = 0
-        for ch in token:
+        for ch in m.group():
             if is_punct(ch):
                 run += 1
                 if run > cfg.punct_run_max:
-                    return FilterVerdict.reject(RejectReason.PUNCT_RUN)
+                    return _REJECT_PUNCT_RUN
             else:
                 run = 0
     return PASS
@@ -153,10 +194,10 @@ def filter_avg_word_len(text: str, cfg: FilterConfig) -> FilterVerdict:
     tokens = tokenize_ws(text)
     if not tokens:
         return PASS
-    ratio = sum(len(t) for t in tokens) / len(tokens)
+    ratio = sum(map(len, tokens)) / len(tokens)
     if cfg.awl_min <= ratio <= cfg.awl_max:
         return PASS
-    return FilterVerdict.reject(RejectReason.AVG_WORD_LEN)
+    return _REJECT_AVG_WORD_LEN
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,13 +206,21 @@ def _lowered(patterns: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def filter_html(text: str, cfg: FilterConfig) -> FilterVerdict:
-    """Reject any token carrying an HTML or URL fragment, case-insensitively."""
+    """Reject any token carrying an HTML or URL fragment, case-insensitively.
+
+    No whitespace codepoint is cased or case-ignorable, so lowering the line
+    lowers each token as if alone (final sigma included): a pattern absent
+    from the lowered line is absent from every lowered token.
+    """
     patterns = _lowered(cfg.html_patterns)
+    low = text.lower()
+    if not any(p in low for p in patterns):
+        return PASS
     for token in tokenize_ws(text):
         low = token.lower()
         for p in patterns:
             if p in low:
-                return FilterVerdict.reject(RejectReason.HTML)
+                return _REJECT_HTML
     return PASS
 
 

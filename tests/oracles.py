@@ -3,13 +3,17 @@
 Each function re-derives the documented behavior as directly as possible,
 through a different code path than the library (character-name lookups
 instead of range tables, text sets instead of digests, full recounts
-instead of incremental heaps). Slow and obvious on purpose.
+instead of incremental heaps). Slow and obvious on purpose. The reference
+filter bodies are the exception: they keep the library's predicates and
+differ only in walking every character and token.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+
+from corpuskit.filters import is_latin, is_punct
 
 WORD_END = "</w>"
 
@@ -66,6 +70,73 @@ def first_reject_reason(text: str, cfg) -> str:
         return "AvgWordLen"
     if not html_ok(text, cfg.html_patterns):
         return "Html"
+    return "None"
+
+
+# --- reference filter bodies -----------------------------------------------
+# The per-character and per-token filter bodies the library used before its
+# whole-line fast paths, on the library's own predicates: the fast filters
+# must agree with these exactly, verdict for verdict.
+
+def reference_non_latin(text: str, cfg) -> bool:
+    visible = 0
+    foreign = 0
+    for ch in text:
+        if ch.isspace():
+            continue
+        visible += 1
+        if ch.isalpha() and not is_latin(ch):
+            foreign += 1
+    return not (visible > 0 and foreign / visible > cfg.nonlatin_max_ratio)
+
+
+def reference_length(text: str, cfg) -> bool:
+    return cfg.min_tokens <= len(text.split()) <= cfg.max_tokens
+
+
+def reference_punct_run(text: str, cfg) -> bool:
+    for token in text.split():
+        run = 0
+        for ch in token:
+            if is_punct(ch):
+                run += 1
+                if run > cfg.punct_run_max:
+                    return False
+            else:
+                run = 0
+    return True
+
+
+def reference_avg_word_len(text: str, cfg) -> bool:
+    tokens = text.split()
+    if not tokens:
+        return True
+    return cfg.awl_min <= sum(len(t) for t in tokens) / len(tokens) <= cfg.awl_max
+
+
+def reference_html(text: str, cfg) -> bool:
+    patterns = [p.lower() for p in cfg.html_patterns]
+    for token in text.split():
+        low = token.lower()
+        for p in patterns:
+            if p in low:
+                return False
+    return True
+
+
+REFERENCE_FILTERS = (
+    ("NonLatin", reference_non_latin),
+    ("Length", reference_length),
+    ("PunctRun", reference_punct_run),
+    ("AvgWordLen", reference_avg_word_len),
+    ("Html", reference_html),
+)
+
+
+def reference_reject_reason(text: str, cfg) -> str:
+    for reason, passes in REFERENCE_FILTERS:
+        if not passes(text, cfg):
+            return reason
     return "None"
 
 

@@ -69,6 +69,20 @@ def test_filter_command_with_config(tmp_path, capsys):
     assert "kept=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", ["html_patterns =\n", "punct_run_max = 0\n"], ids=["no-html-patterns", "zero-run"])
+def test_filter_rejects_bad_config_in_one_line(tmp_path, capsys, doc):
+    src = tmp_path / "in.txt"
+    src.write_text("\n".join(PIPELINE_SIX_LINES) + "\n", encoding="utf-8")
+    conf = tmp_path / "filter.conf"
+    conf.write_text(doc, encoding="utf-8")
+    out, rej = tmp_path / "kept.txt", tmp_path / "rej.tsv"
+    assert run_cli("filter", "--config", conf, "--in", src, "--out", out, "--rejects", rej) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad filter config: ") and err.count("\n") == 1
+    assert doc.split()[0] in err
+    assert not out.exists() and not rej.exists()
+
+
 def test_dedup_command_prints_summary(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("a\nb\na\n", encoding="utf-8")
@@ -180,6 +194,25 @@ def test_encode_labels_rejects_bad_rows(tmp_path, capsys):
     out = tmp_path / "classes.csv"
     assert run_cli("encode-labels", "--in", src, "--out", out) == 1
     assert "binary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,2,0,1,1", "1,1"], ids=["not-binary", "too-few"])
+def test_encode_labels_names_the_line_of_a_bad_row(tmp_path, capsys, row):
+    src = tmp_path / "labels.csv"
+    src.write_text(f"0,0,0,0,0\n{row}\n", encoding="utf-8")
+    out = tmp_path / "classes.csv"
+    assert run_cli("encode-labels", "--in", src, "--out", out) == 1
+    assert f"{src}:2: expected 5 binary columns" in capsys.readouterr().err
+
+
+def test_encode_labels_keeps_one_row_per_physical_line(tmp_path, capsys):
+    # a lone CR is not a line break: line 1 is one malformed row, not two rows
+    src = tmp_path / "labels.csv"
+    src.write_bytes(b"1,1,0,1,1\r0,0,0,0,0\n1,1,1,1,1\n")
+    out = tmp_path / "classes.csv"
+    assert run_cli("encode-labels", "--in", src, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{src}:1: expected 5 binary columns" in err and err.count("\n") == 1
 
 
 def test_make_nli(tmp_path):

@@ -1,9 +1,13 @@
+import sys
+
 import pytest
 
 from corpuskit.core import RejectReason
 from corpuskit.filters import (
     FILTER_CHAIN,
     FilterConfig,
+    _not_latin,
+    _punct_run_candidates,
     apply_filters,
     filter_avg_word_len,
     filter_html,
@@ -11,6 +15,7 @@ from corpuskit.filters import (
     filter_non_latin,
     filter_punct_run,
     is_latin,
+    is_punct,
 )
 
 import oracles
@@ -41,6 +46,12 @@ def test_non_latin_digits_and_punct_dilute_only():
     assert not filter_non_latin("где 12345", CFG).passed  # 3/8 foreign
     assert filter_non_latin("где 1234567890 1234567890", CFG).passed  # 3/23 foreign
     assert filter_non_latin("x" + "0" * 95 + " где", CFG).passed  # 3/99 foreign
+
+
+def test_non_latin_does_not_count_unicode_whitespace():
+    cfg = FilterConfig(nonlatin_max_ratio=0.4)
+    for space in ("\u00a0", "\u3000", "\u2028", "\x1f"):
+        assert not filter_non_latin(f"б{space}a", cfg).passed, repr(space)  # 1/2 visible, not 1/3
 
 
 def test_non_latin_empty_passes():
@@ -181,6 +192,47 @@ def test_config_validation():
     assert FilterConfig().validate() == []
     bad = FilterConfig(nonlatin_max_ratio=1.5, min_tokens=0, awl_min=0, punct_run_max=0, html_patterns=())
     assert len(bad.validate()) == 5
+
+
+@pytest.mark.parametrize("patterns", [("a b",), ("",), ("ok", "x\u3000y"), ("\t",)],
+                         ids=["space", "empty", "ideographic-space", "tab"])
+def test_config_validation_rejects_dead_html_patterns(patterns):
+    # a token holds no whitespace, so "a b" never matches; "" matches every token
+    problems = FilterConfig(html_patterns=patterns).validate()
+    assert len(problems) == 1 and "html_patterns" in problems[0] and repr(patterns[-1]) in problems[0]
+
+
+# --- facts the whole-line fast paths rely on ----------------------------------
+
+def test_fast_path_facts_hold_on_every_codepoint():
+    one_candidate = _punct_run_candidates(0)  # threshold 0: any single candidate matches
+    not_latin = _not_latin()
+    ascii_not_latin, punct_outside_class, space_punct, not_latin_mismatch = [], [], [], []
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        if cp < 0x80 and ch.isalpha() and not is_latin(ch):
+            ascii_not_latin.append(hex(cp))
+        if is_punct(ch):
+            if not one_candidate.fullmatch(ch):
+                punct_outside_class.append(hex(cp))
+            if ch.isspace():
+                space_punct.append(hex(cp))
+        if bool(not_latin.fullmatch(ch)) != (cp >= 0x80 and not is_latin(ch)):
+            not_latin_mismatch.append(hex(cp))
+    assert ascii_not_latin == []  # so an ASCII line has no foreign letter
+    assert punct_outside_class == []  # so the punct_run candidate scan misses no run
+    assert space_punct == []  # so no punctuation run crosses a token boundary
+    assert not_latin_mismatch == []  # the non-ASCII scan class is exactly "not Latin"
+
+
+def test_lowering_a_line_lowers_each_token_alone():
+    # final sigma is the only context rule of str.lower(); it must not see
+    # across whitespace, or filter_html's whole-line test could miss a token
+    for cp in range(sys.maxunicode + 1):
+        w = chr(cp)
+        if w.isspace():
+            assert ("A" + w + "Σ").lower() == "a" + w.lower() + "σ", hex(cp)
+            assert ("AΣ" + w + "B").lower() == "aς" + w.lower() + "b", hex(cp)
 
 
 def _random_noisy_line(rng):
