@@ -137,83 +137,98 @@ def _word_symbols(word: str, alphabet: set[str], unk: str, marker: str = WORD_EN
     return tuple(syms)
 
 
-def _merge_once(symbols: Sequence[str], pair: tuple[str, str]) -> tuple[str, ...]:
-    """Replace non-overlapping occurrences of pair, leftmost first."""
-    a, b = pair
-    out: list[str] = []
-    i = 0
-    n = len(symbols)
-    while i < n:
-        if i < n - 1 and symbols[i] == a and symbols[i + 1] == b:
-            out.append(a + b)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return tuple(out)
-
-
 class _PairIndex:
     """Weighted adjacent-pair counts over all words, with a lazy max-heap.
 
-    ``counts[p]`` is the frequency-weighted number of occurrences of pair p,
-    and ``where[p]`` the indices of the words that contain it; both hold only
-    pairs that occur. Heap entries are (-count, pair), so the smallest entry
-    is the most frequent pair with ties to the smallest pair. An entry is
-    stale when its count no longer matches ``counts``; stale entries are
-    dropped when they reach the top. Each merge sums the count changes over
-    all touched words first and pushes one entry per pair whose count moved.
+    Symbols are interned as ints by their string (``symbols``: id -> string,
+    ``ids``: string -> id), so a merge output equal to an existing symbol
+    gets that symbol's id. Words are int lists, merged in place.
+    ``counts[p]`` is the frequency-weighted number of occurrences of the id
+    pair p, and ``where[p]`` the indices of the words that contain it; both
+    hold only pairs that occur. Heap entries are (-count, left, right) with
+    string symbols, so the smallest entry is the most frequent pair with ties
+    to the lexicographically smallest string pair. An entry is stale when its
+    count no longer matches ``counts``; stale entries are dropped when they
+    reach the top. Each merge changes only the pairs next to its merge sites,
+    sums those changes over all touched words first and pushes one entry per
+    pair whose count moved.
     """
 
     def __init__(self, words: list[tuple[str, ...]], freqs: list[int]):
-        self.words = words
+        self.symbols: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.words = [[self._intern(s) for s in syms] for syms in words]
         self.freqs = freqs
         self.counts: Counter = Counter()
-        self.where: dict[tuple[str, str], set[int]] = {}
-        for idx, (syms, n) in enumerate(zip(words, freqs)):
+        self.where: dict[tuple[int, int], set[int]] = {}
+        for idx, (syms, n) in enumerate(zip(self.words, freqs)):
             for pair in zip(syms, syms[1:]):
                 self.counts[pair] += n
                 self.where.setdefault(pair, set()).add(idx)
-        self.heap = [(-count, pair) for pair, count in self.counts.items()]
+        sym = self.symbols
+        self.heap = [(-count, sym[a], sym[b]) for (a, b), count in self.counts.items()]
         heapq.heapify(self.heap)
 
+    def _intern(self, symbol: str) -> int:
+        idx = self.ids.get(symbol)
+        if idx is None:
+            idx = self.ids[symbol] = len(self.symbols)
+            self.symbols.append(symbol)
+        return idx
+
     def best_pair(self) -> tuple[str, str] | None:
-        heap, counts = self.heap, self.counts
+        heap, counts, ids = self.heap, self.counts, self.ids
         while heap:
-            neg, pair = heap[0]
-            if counts.get(pair, 0) == -neg:
-                return pair
+            neg, left, right = heap[0]
+            if counts.get((ids[left], ids[right]), 0) == -neg:
+                return left, right
             heapq.heappop(heap)  # stale entry
         return None
 
     def apply_merge(self, pair: tuple[str, str]) -> None:
-        words, freqs, where, counts = self.words, self.freqs, self.where, self.counts
-        delta: dict[tuple[str, str], int] = defaultdict(int)
-        for idx in list(where[pair]):
-            old = words[idx]
-            new = _merge_once(old, pair)
-            words[idx] = new
-            n = freqs[idx]
-            old_pairs = list(zip(old, old[1:]))
-            new_pairs = list(zip(new, new[1:]))
-            for p in old_pairs:
-                delta[p] -= n
-            for p in new_pairs:
-                delta[p] += n
-            old_set, new_set = set(old_pairs), set(new_pairs)
-            for p in old_set - new_set:
-                members = where[p]
-                members.discard(idx)
-                if not members:
-                    del where[p]
-            for p in new_set - old_set:
-                where.setdefault(p, set()).add(idx)
+        words, freqs, where, counts, sym = self.words, self.freqs, self.where, self.counts, self.symbols
+        a, b = self.ids[pair[0]], self.ids[pair[1]]
+        new = self._intern(pair[0] + pair[1])
+        delta: dict[tuple[int, int], int] = defaultdict(int)
+        for idx in where.pop((a, b)):
+            w, n = words[idx], freqs[idx]
+            touched: list[tuple[int, int]] = []
+            i = w.index(a)
+            try:  # non-overlapping occurrences, leftmost first, until index() finds no more
+                while True:
+                    if i + 1 < len(w) and w[i + 1] == b:
+                        delta[a, b] -= n
+                        if i:
+                            prev = w[i - 1]
+                            delta[prev, a] -= n
+                            delta[prev, new] += n
+                            touched += (prev, a), (prev, new)
+                        if i + 2 < len(w):
+                            nxt = w[i + 2]
+                            delta[b, nxt] -= n
+                            delta[new, nxt] += n
+                            touched += (b, nxt), (new, nxt)
+                        w[i:i + 2] = [new]
+                    i = w.index(a, i + 1)
+            except ValueError:
+                pass
+            # A later site can consume a pair an earlier one made, so membership
+            # follows the merged word, not the sign of the change.
+            pairs = set(zip(w, w[1:]))
+            for p in touched:
+                if p in pairs:
+                    where.setdefault(p, set()).add(idx)
+                elif p in where:
+                    members = where[p]
+                    members.discard(idx)
+                    if not members:
+                        del where[p]
         for p, d in delta.items():
             if d:
                 count = counts[p] + d
                 if count:
                     counts[p] = count
-                    heapq.heappush(self.heap, (-count, p))
+                    heapq.heappush(self.heap, (-count, sym[p[0]], sym[p[1]]))
                 else:
                     del counts[p]
 
@@ -355,6 +370,7 @@ def add_special_tokens(model: BpeModel, tokens: Sequence[str]) -> BpeModel:
 # one "subword<TAB>id" per line. Load/save round-trips are byte-stable.
 
 _HEADER_PREFIX = "#corpuskit-bpe v1"
+_HEADER_FIELDS = ("marker", "vocab_size", "coverage", "specials")
 
 
 def save_model(model: BpeModel, merges_path: Path | str, vocab_path: Path | str) -> None:
@@ -373,34 +389,59 @@ def save_model(model: BpeModel, merges_path: Path | str, vocab_path: Path | str)
             f.write(f"{sub}\t{idx}\n")
 
 
+def _two_fields(path: Path | str, line_no: int, line: str, sep: str) -> tuple[str, str]:
+    text = line.rstrip("\n")
+    left, found, right = text.partition(sep)
+    if not (found and left and right) or sep in right:
+        raise ValueError(f"{path}:{line_no}: expected two fields separated by {sep!r}, got {text!r}")
+    return left, right
+
+
 def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
+    """Read a model written by save_model. A missing header field, a line
+    that is not two fields, an id that is not an integer, and an id or
+    subword listed twice raise ValueError naming the file and line."""
     with open(merges_path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith(_HEADER_PREFIX):
             raise ValueError(f"{merges_path}: not a corpuskit BPE merges file")
-        fields = dict(part.split("=", 1) for part in header.split("\t")[1:])
-        merges = []
-        for line in f:
-            a, b = line.rstrip("\n").split(" ")
-            merges.append((a, b))
+        fields = dict(part.partition("=")[::2] for part in header.split("\t")[1:])
+        missing = [key for key in _HEADER_FIELDS if not fields.get(key)]
+        if missing:
+            raise ValueError(f"{merges_path}:1: header has no value for {' '.join(missing)}")
+        try:
+            vocab_size, coverage = int(fields["vocab_size"]), float(fields["coverage"])
+        except ValueError as e:
+            raise ValueError(f"{merges_path}:1: {e}") from None
+        merges = [_two_fields(merges_path, line_no, line, " ") for line_no, line in enumerate(f, 2)]
     vocab: dict[str, int] = {}
     with open(vocab_path, "r", encoding="utf-8") as f:
-        for line in f:
-            sub, idx = line.rstrip("\n").split("\t")
-            vocab[sub] = int(idx)
+        for line_no, line in enumerate(f, 1):
+            sub, idx = _two_fields(vocab_path, line_no, line, "\t")
+            try:
+                i = int(idx)
+            except ValueError:
+                raise ValueError(f"{vocab_path}:{line_no}: id {idx!r} is not an integer") from None
+            if sub in vocab:
+                raise ValueError(f"{vocab_path}:{line_no}: subword {sub!r} is listed twice")
+            vocab[sub] = i
     specials = fields["specials"].split(" ")
     missing = [tok for tok in specials if tok not in vocab]
     if missing:
         raise ValueError(f"{vocab_path}: special tokens missing from the vocabulary: {' '.join(missing)}")
-    cfg = TokenizerConfig(
-        vocab_size=int(fields["vocab_size"]),
-        character_coverage=float(fields["coverage"]),
-        special_tokens=tuple(specials),
-    )
-    return BpeModel(
+    cfg = TokenizerConfig(vocab_size=vocab_size, character_coverage=coverage, special_tokens=tuple(specials))
+    model = BpeModel(
         merges=merges,
         vocab=vocab,
         special_tokens=specials,
         end_of_word_marker=fields["marker"],
         config=cfg,
     )
+    if len(model._id_to_subword) < len(vocab):  # an id is listed twice
+        # each line added one entry, so the entry's position is its line
+        seen: set[int] = set()
+        for line_no, i in enumerate(vocab.values(), 1):
+            if i in seen:
+                raise ValueError(f"{vocab_path}:{line_no}: id {i} is listed twice")
+            seen.add(i)
+    return model

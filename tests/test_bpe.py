@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -135,8 +136,8 @@ def test_pair_index_matches_recount_after_every_merge():
             # dict(): Counter equality ignores zero entries, the index must hold none
             assert dict(index.counts) == dict(counts), (trial, step)
             assert index.where == where, (trial, step)
-            live = set(index.heap)
-            assert all((-c, p) in live for p, c in counts.items()), (trial, step)
+            live, sym = set(index.heap), index.symbols
+            assert all((-c, sym[a], sym[b]) in live for (a, b), c in counts.items()), (trial, step)
         assert not index.counts and not index.where, trial
 
 
@@ -149,6 +150,52 @@ def test_reference_agreement_on_repeated_symbol_runs():
         model = learn_bpe(lines, TokenizerConfig(vocab_size=base + 40))
         assert len(model.merges) >= 40
         assert model.merges == oracles.quadratic_bpe_merges(words, len(model.merges)), trial
+
+
+# The end-of-word marker is in-band: words made of "<", "/", "w", ">" can
+# spell it, and the merge ("q", "</w>") outputs the existing symbol q</w>,
+# so it adds no vocabulary entry. Captured from the string-symbol trainer;
+# interning symbols by their string must keep it.
+MARKER_LINES = ["q</w>a q</w>b q</w>c q</w>d q</w>e"] * 3
+MARKER_MERGES = [
+    ("/", "w"), ("/w", ">"), ("<", "/w>"), ("q", "</w>"), ("q</w>", "a</w>"), ("q</w>", "b</w>"),
+    ("q</w>", "c</w>"),
+]
+MARKER_VOCAB = [
+    *DEFAULT_SPECIALS, "/", "<", ">", "q", "w", "a", "b", "c", "d", "e",
+    "/</w>", "<</w>", "></w>", "q</w>", "w</w>", "a</w>", "b</w>", "c</w>", "d</w>", "e</w>",
+    "/w", "/w>", "</w>", "q</w>a</w>", "q</w>b</w>", "q</w>c</w>",
+]
+
+
+@pytest.mark.parametrize("vocab_size, n_merges", [(26, 1), (27, 2), (28, 3), (29, 5), (30, 6), (31, 7)])
+def test_in_band_marker_merges_are_frozen(vocab_size, n_merges):
+    model = learn_bpe(MARKER_LINES, TokenizerConfig(vocab_size=vocab_size))
+    assert model.merges == MARKER_MERGES[:n_merges]
+    assert model.vocab == {sub: i for i, sub in enumerate(MARKER_VOCAB[:vocab_size])}
+
+
+def _seeded_corpus() -> list[str]:
+    """Zipf-weighted words of Tagalog-like syllables. At vocab_size 400 it
+    takes 361 merges, and 233 of them break a tie on the count."""
+    rng = random.Random(2021)
+    syllables = ["ka", "ng", "sa", "pa", "ma", "an", "in", "ba", "la", "ta", "ay", "ni", "o", "e", "ó", "ñ", "u"]
+    lexicon = ["".join(rng.choice(syllables) for _ in range(rng.randrange(1, 5))) for _ in range(600)]
+    weights = [1 / (rank + 1) for rank in range(len(lexicon))]
+    return [" ".join(rng.choices(lexicon, weights, k=12)) for _ in range(1500)]
+
+
+def test_seeded_model_files_are_frozen(tmp_path):
+    # SHA-256 of the files the string-symbol trainer wrote for this corpus
+    model = learn_bpe(_seeded_corpus(), TokenizerConfig(vocab_size=400))
+    assert len(model.merges) >= 300
+    save_model(model, tmp_path / "bpe.merges.txt", tmp_path / "bpe.vocab.txt")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("bpe.merges.txt", "bpe.vocab.txt")}
+    assert digest == {
+        "bpe.merges.txt": "202e2810f3a671cbccd27f442383c185c17d66715ff405c1bd80af5c20e7e430",
+        "bpe.vocab.txt": "195960f21874c8d53c503120cf4ec491ba0bbedf19f01f91a4ff2a6f7f5746da",
+    }
 
 
 def test_vocab_size_is_exact():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import corpuskit
 from corpuskit.cli import main
 
 from fixtures import PIPELINE_SIX_LINES
@@ -160,6 +166,70 @@ def test_encode_keeps_one_line_of_ids_per_input_line(tmp_path):
     plain_out = tmp_path / "plain_ids.txt"
     assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", plain_in, "--out", plain_out) == 0
     assert ids_out.read_bytes() == plain_out.read_bytes()
+
+
+def _train_toy_model(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("low low lower newest newest widest\n", encoding="utf-8")
+    merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
+    assert run_cli("train-bpe", "--in", corpus, "--vocab-size", 30,
+                   "--merges-out", merges, "--vocab-out", vocab) == 0
+    return merges, vocab
+
+
+def _header_only(merges, vocab):
+    merges.write_text("#corpuskit-bpe v1\n", encoding="utf-8")
+    return merges, 1
+
+
+def _three_field_merge(merges, vocab):
+    merges.write_text(merges.read_text(encoding="utf-8") + "a b c\n", encoding="utf-8")
+    return merges, len(merges.read_text(encoding="utf-8").splitlines())
+
+
+def _duplicate_id(merges, vocab):
+    lines = vocab.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("w</w>\t"))
+    lines[at] = "w</w>\t" + next(line for line in lines if line.startswith("w\t")).split("\t")[1]
+    vocab.write_text("".join(lines), encoding="utf-8")
+    return vocab, at + 1
+
+
+def _duplicate_subword(merges, vocab):
+    vocab.write_text(vocab.read_text(encoding="utf-8") + "w\t999\n", encoding="utf-8")
+    return vocab, len(vocab.read_text(encoding="utf-8").splitlines())
+
+
+def _id_not_integer(merges, vocab):
+    vocab.write_text(vocab.read_text(encoding="utf-8") + "zz\tten\n", encoding="utf-8")
+    return vocab, len(vocab.read_text(encoding="utf-8").splitlines())
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_header_only, _three_field_merge, _duplicate_id, _duplicate_subword, _id_not_integer],
+    ids=["header-without-fields", "three-field-merge", "duplicate-id", "duplicate-subword", "id-not-integer"])
+def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt):
+    merges, vocab = _train_toy_model(tmp_path)
+    bad_file, line_no = corrupt(merges, vocab)
+    text_in = tmp_path / "text.txt"
+    text_in.write_text("lowest\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", text_in,
+                   "--out", tmp_path / "ids.txt") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [encode] {bad_file}:{line_no}: ") and err.count("\n") == 1, err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    merges, vocab = _train_toy_model(tmp_path)
+    text_in = tmp_path / "text.txt"
+    text_in.write_text("lowest newest\nwidest low\n", encoding="utf-8")
+    assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", text_in, "--out", tmp_path / "a.txt") == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(corpuskit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "corpuskit", "encode", "--merges", merges, "--vocab", vocab,
+                           "--in", text_in, "--out", tmp_path / "b.txt"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
 
 
 def test_prep_tweets_keeps_one_row_per_input_line(tmp_path):
