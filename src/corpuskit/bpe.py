@@ -22,10 +22,14 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 WORD_END = "</w>"
+
+# Most distinct words one model's encode cache holds before it is emptied.
+WORD_CACHE_LIMIT = 1 << 14
 
 DEFAULT_SPECIALS = ("<unk>", "<pad>", "<s>", "</s>", "<mask>")
 
@@ -64,17 +68,33 @@ class BpeModel:
 
     def __post_init__(self) -> None:
         # Derived lookups, built once per instance and never persisted. The
-        # word cache starts with the specials, so they encode atomically.
+        # segmenter works on symbols interned as ints by their string, so a
+        # merge output that spells an existing symbol gets that symbol's id.
         specials = set(self.special_tokens)
         marker = self.end_of_word_marker
-        self._ranks = {pair: rank for rank, pair in reversed(list(enumerate(self.merges)))}  # first rank wins
-        self._alphabet = {s for s in self.vocab if len(s) == 1 and s not in specials}
+        chars = [s for s in self.vocab if len(s) == 1 and s not in specials]
+        self._alphabet = set(chars)
         self._id_to_subword = {i: s for s, i in self.vocab.items()}
         self._surface = {  # id -> decoded text; specials and word ends carry the space
             i: s + " " if s in specials else s[: -len(marker)] + " " if s.endswith(marker) else s
             for i, s in self._id_to_subword.items()
         }
-        self._word_cache = {tok: (self.vocab[tok],) for tok in self.special_tokens}
+        symbols: dict[str, int] = {}
+
+        def intern(symbol: str) -> int:
+            return symbols.setdefault(symbol, len(symbols))
+
+        self._unk_symbol = intern(self.unk_token)
+        self._char_symbols = {ch: intern(ch) for ch in chars}
+        self._final_symbols = {ch: intern(ch + marker) for ch in chars}
+        self._pair_ranks: dict[tuple[int, int], int] = {}
+        for rank, (a, b) in enumerate(self.merges):
+            self._pair_ranks.setdefault((intern(a), intern(b)), rank)  # first rank wins
+        self._merge_outputs = [intern(a + b) for a, b in self.merges]
+        unk_id = self.unk_id
+        self._symbol_ids = [self.vocab.get(s, unk_id) for s in symbols]
+        self._special_ids = {tok: (self.vocab[tok],) for tok in self.special_tokens}
+        self._word_cache: dict[str, tuple[int, ...]] = {}
 
     @property
     def unk_token(self) -> str:
@@ -291,35 +311,48 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
     return BpeModel(merges=merges, vocab=vocab, special_tokens=specials, config=cfg)
 
 
-def _segment_word(word: str, model: BpeModel) -> list[str]:
-    ranks = model._ranks
-    symbols = list(_word_symbols(word, model._alphabet, model.unk_token, model.end_of_word_marker))
-    while len(symbols) >= 2:
-        best_rank = None
-        best_i = -1
-        for i in range(len(symbols) - 1):
-            r = ranks.get((symbols[i], symbols[i + 1]))
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-                best_i = i
-        if best_rank is None:
+def _segment_word(word: str, model: BpeModel) -> tuple[int, ...]:
+    """Vocabulary ids of one word: the lowest-ranked applicable merge first,
+    leftmost occurrence first, on interned symbols. ``ranks[i]`` is the rank
+    of the pair at i (``len(merges)`` when no merge applies); a merge splices
+    its output in and recomputes only the two neighbouring ranks."""
+    unk = model._unk_symbol
+    symbols = list(map(model._char_symbols.get, word, repeat(unk)))
+    symbols[-1] = model._final_symbols.get(word[-1], unk)
+    pair_rank, outputs = model._pair_ranks.get, model._merge_outputs
+    none = len(outputs)
+    ranks = list(map(pair_rank, zip(symbols, symbols[1:]), repeat(none)))
+    while ranks:
+        r = min(ranks)
+        if r == none:
             break
-        symbols[best_i:best_i + 2] = [symbols[best_i] + symbols[best_i + 1]]
-    return symbols
+        i = ranks.index(r)
+        new = outputs[r]
+        symbols[i:i + 2] = [new]
+        del ranks[i]
+        if i:
+            ranks[i - 1] = pair_rank((symbols[i - 1], new), none)
+        if i < len(ranks):
+            ranks[i] = pair_rank((new, symbols[i + 1]), none)
+    return tuple(map(model._symbol_ids.__getitem__, symbols))
 
 
 def encode(model: BpeModel, text: str) -> list[int]:
     """Whitespace-pretokenize and segment each word with the learned merges.
 
     Special-token surfaces are atomic: one word, one id. Unknown characters
-    map to the unknown id. Casing is untouched.
+    map to the unknown id. Casing is untouched. Segmented words are cached
+    per model; the cache is emptied when it holds WORD_CACHE_LIMIT words, so
+    memory stays bounded on a stream and the ids do not change.
     """
     ids: list[int] = []
-    cache, vocab, unk_id = model._word_cache, model.vocab, model.unk_id
+    cache = model._word_cache
     for word in text.split():
         cached = cache.get(word)
         if cached is None:
-            cached = cache[word] = tuple(vocab.get(p, unk_id) for p in _segment_word(word, model))
+            if len(cache) >= WORD_CACHE_LIMIT:
+                cache.clear()
+            cached = cache[word] = model._special_ids.get(word) or _segment_word(word, model)
         ids.extend(cached)
     return ids
 
@@ -399,8 +432,9 @@ def _two_fields(path: Path | str, line_no: int, line: str, sep: str) -> tuple[st
 
 def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
     """Read a model written by save_model. A missing header field, a line
-    that is not two fields, an id that is not an integer, and an id or
-    subword listed twice raise ValueError naming the file and line."""
+    that is not two fields, an id that is not an integer, an id or subword
+    listed twice, and a merge whose output is not in the vocabulary raise
+    ValueError naming the file and line."""
     with open(merges_path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith(_HEADER_PREFIX):
@@ -444,4 +478,10 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
             if i in seen:
                 raise ValueError(f"{vocab_path}:{line_no}: id {i} is listed twice")
             seen.add(i)
+    # A merge output spelling the unknown token is that token; any other one
+    # that maps to the unknown id is missing from the vocabulary.
+    unk_id, unk_symbol = model.unk_id, model._unk_symbol
+    for line_no, (out, (a, b)) in enumerate(zip(model._merge_outputs, merges), 2):
+        if out != unk_symbol and model._symbol_ids[out] == unk_id:
+            raise ValueError(f"{merges_path}:{line_no}: merge output {a + b!r} is missing from {vocab_path}")
     return model

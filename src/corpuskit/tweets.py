@@ -12,6 +12,7 @@ and entity decoding must run before token-pattern matching).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -43,9 +44,8 @@ class TweetPrepConfig:
 
 DEFAULT_TWEET_CONFIG = TweetPrepConfig()
 
-_SENT_PUNCT = frozenset(".,!?;:%")
-_CLOSERS = frozenset(")]}")
-_OPENERS = frozenset("([{")
+_GLUE_LEFT = ".,!?;:%)]}"  # sentence punctuation and closing brackets
+_OPENERS = "([{"
 
 
 def moses_detokenize(text: str) -> str:
@@ -55,18 +55,19 @@ def moses_detokenize(text: str) -> str:
     Intentionally a minimal rule set, not the full reference script; it is
     idempotent, so already-clean text passes through unchanged.
     """
-    out = ""
+    out: list[str] = []
     glue = True  # no separator before the first token or after an opener
     for tok in text.split():
-        if out and all(c in _SENT_PUNCT or c in _CLOSERS for c in tok):
-            out += tok
+        # A token is non-empty, so it strips to nothing only if all its characters are in the set.
+        if out and not tok.strip(_GLUE_LEFT):
+            out.append(tok)
             glue = False
             continue
         if not glue:
-            out += " "
-        out += tok
-        glue = all(c in _OPENERS for c in tok)
-    return out
+            out.append(" ")
+        out.append(tok)
+        glue = not tok.strip(_OPENERS)
+    return "".join(out)
 
 
 def collapse_links(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
@@ -108,18 +109,22 @@ def renormalize_spacing(text: str) -> str:
     return _SPACED_HYPHEN.sub("-", text)
 
 
+@functools.lru_cache(maxsize=16)
+def _entity_pattern(keys: tuple[str, ...]) -> re.Pattern[str]:
+    # Longest key first, so an entity that prefixes another never wins.
+    return re.compile("|".join(re.escape(k) for k in sorted(keys, key=len, reverse=True)))
+
+
 def decode_html_entities(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
     """Decode the mapped HTML entities in one left-to-right pass.
 
     Unknown entities stay as written. One escaping level per call: doubly
     escaped input ("&amp;amp;") needs a second pass by design.
     """
-    if not cfg.entity_map:
+    entity_map = cfg.entity_map
+    if not entity_map:
         return text
-    pattern = re.compile(
-        "|".join(re.escape(k) for k in sorted(cfg.entity_map, key=len, reverse=True))
-    )
-    return pattern.sub(lambda m: cfg.entity_map[m.group(0)], text)
+    return _entity_pattern(tuple(entity_map)).sub(lambda m: entity_map[m.group(0)], text)
 
 
 def preprocess_tweet(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:

@@ -10,6 +10,7 @@ differ only in walking every character and token.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 
@@ -154,9 +155,13 @@ def dedup_keep_first(texts: list[str]) -> list[str]:
 
 # --- BPE --------------------------------------------------------------------
 
-def word_to_symbols(word: str) -> tuple[str, ...]:
-    syms = list(word)
-    syms[-1] += WORD_END
+def word_to_symbols(word: str, alphabet=None, unk: str = "<unk>") -> tuple[str, ...]:
+    """Characters with the marker on the last one. With an alphabet, a
+    character outside it is the unknown surface, unmarked at the end too."""
+    known = [alphabet is None or ch in alphabet for ch in word]
+    syms = [ch if ok else unk for ch, ok in zip(word, known)]
+    if known[-1]:
+        syms[-1] += WORD_END
     return tuple(syms)
 
 
@@ -191,13 +196,14 @@ def quadratic_bpe_merges(word_counts: dict[str, int], n_merges: int) -> list[tup
     return merges
 
 
-def rank_ordered_segment(word: str, merges: list[tuple[str, str]]) -> list[str]:
+def rank_ordered_segment(word: str, merges: list[tuple[str, str]], alphabet=None,
+                         unk: str = "<unk>") -> list[str]:
     """Apply the lowest-ranked applicable merge, leftmost occurrence first,
     until no merge applies."""
     ranks: dict[tuple[str, str], int] = {}
     for i, p in enumerate(merges):
         ranks.setdefault(p, i)
-    syms = list(word_to_symbols(word))
+    syms = list(word_to_symbols(word, alphabet, unk))
     while True:
         candidates = [
             (ranks[(a, b)], i)
@@ -208,3 +214,30 @@ def rank_ordered_segment(word: str, merges: list[tuple[str, str]]) -> list[str]:
             return syms
         _, i = min(candidates)
         syms[i:i + 2] = [syms[i] + syms[i + 1]]
+
+
+# --- tweets -----------------------------------------------------------------
+# The per-character detokenizer and the per-call entity regex the library
+# used before it stripped tokens against character sets and compiled each
+# entity pattern once.
+
+def reference_moses_detokenize(text: str) -> str:
+    out = ""
+    glue = True
+    for tok in text.split():
+        if out and all(c in ".,!?;:%" or c in ")]}" for c in tok):
+            out += tok
+            glue = False
+            continue
+        if not glue:
+            out += " "
+        out += tok
+        glue = all(c in "([{" for c in tok)
+    return out
+
+
+def reference_decode_html_entities(text: str, entity_map) -> str:
+    if not entity_map:
+        return text
+    pattern = re.compile("|".join(re.escape(k) for k in sorted(entity_map, key=len, reverse=True)))
+    return pattern.sub(lambda m: entity_map[m.group(0)], text)

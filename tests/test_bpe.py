@@ -6,6 +6,7 @@ import pytest
 
 from corpuskit.bpe import (
     DEFAULT_SPECIALS,
+    WORD_CACHE_LIMIT,
     BpeModel,
     TokenizerConfig,
     _PairIndex,
@@ -280,6 +281,30 @@ def test_unknown_chars_map_to_unk():
     ids = encode(model, "loZw")
     assert model.unk_id in ids
     assert model.unk_token in decode(model, ids)
+
+
+def test_pair_listed_twice_keeps_its_first_rank():
+    vocab = {s: i for i, s in enumerate(["<unk>", "a", "b", "c", "c</w>", "bc</w>", "ab"])}
+    model = BpeModel(merges=[("b", "c</w>"), ("a", "b"), ("b", "c</w>")], vocab=vocab, special_tokens=["<unk>"])
+    assert [model.id_to_subword(i) for i in encode(model, "abc")] == ["a", "bc</w>"]
+
+
+def test_word_cache_is_bounded_and_keeps_ids():
+    model = toy_model(10)
+    words = ["".join("lowernstid"[int(d)] for d in str(i)) for i in range(WORD_CACHE_LIMIT + 1000)]
+    got, clears = [], 0
+    for word in words:
+        before = len(model._word_cache)
+        got.append(encode(model, word))
+        assert len(model._word_cache) <= WORD_CACHE_LIMIT
+        if len(model._word_cache) < before:  # emptied: a special still encodes as one id
+            clears += 1
+            assert encode(model, "<mask>") == [model.vocab["<mask>"]]
+    assert clears == 1
+    # Fresh models, each given fewer distinct words than the limit, never empty their cache.
+    for start in range(0, len(words), 1000):
+        fresh = BpeModel(merges=model.merges, vocab=model.vocab, special_tokens=model.special_tokens)
+        assert [encode(fresh, w) for w in words[start:start + 1000]] == got[start:start + 1000]
 
 
 def test_decode_rejects_out_of_range_id():

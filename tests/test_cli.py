@@ -205,9 +205,18 @@ def _id_not_integer(merges, vocab):
     return vocab, len(vocab.read_text(encoding="utf-8").splitlines())
 
 
+def _merge_output_missing(merges, vocab):
+    lines = vocab.read_text(encoding="utf-8").splitlines(keepends=True)
+    vocab.write_text("".join(line for line in lines if not line.startswith("ewest</w>\t")), encoding="utf-8")
+    pairs = merges.read_text(encoding="utf-8").splitlines()
+    return merges, next(n for n, line in enumerate(pairs, 1) if line.replace(" ", "") == "ewest</w>")
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_header_only, _three_field_merge, _duplicate_id, _duplicate_subword, _id_not_integer],
-    ids=["header-without-fields", "three-field-merge", "duplicate-id", "duplicate-subword", "id-not-integer"])
+    "corrupt", [_header_only, _three_field_merge, _duplicate_id, _duplicate_subword, _id_not_integer,
+                _merge_output_missing],
+    ids=["header-without-fields", "three-field-merge", "duplicate-id", "duplicate-subword", "id-not-integer",
+         "merge-output-missing"])
 def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt):
     merges, vocab = _train_toy_model(tmp_path)
     bad_file, line_no = corrupt(merges, vocab)

@@ -1,0 +1,53 @@
+"""Property: encode gives the pieces of the rank-ordered reference segmenter
+(tests/oracles.py) on random models: shuffled merge order, duplicated
+pairs, merge outputs dropped from the vocabulary, unknown characters,
+specials that spell ordinary words, and character coverage below 1."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from corpuskit.bpe import DEFAULT_SPECIALS, WORD_END, BpeModel, TokenizerConfig, build_alphabet, encode, learn_bpe
+
+import oracles
+
+_CHARS = "abéñ</w>"
+_WORD = st.text(st.sampled_from(_CHARS), min_size=1, max_size=8)
+_UNSEEN = st.text(st.sampled_from(_CHARS + "Zß"), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(_WORD, min_size=2, max_size=15), coverage=st.sampled_from([1.0, 0.9, 0.7]),
+       data=st.data())
+def test_encode_pieces_equal_the_rank_ordered_reference(words, coverage, data):
+    extra = data.draw(st.lists(st.sampled_from(words + list(_CHARS)), max_size=2, unique=True))
+    specials = list(dict.fromkeys([*DEFAULT_SPECIALS, *extra]))
+    lines = [" ".join(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6))) for _ in range(5)]
+    alphabet = build_alphabet(lines, coverage)
+    base = len({*specials, *alphabet, *(ch + WORD_END for ch in alphabet)})
+    for size in range(base + data.draw(st.integers(0, 30)), base - 1, -1):
+        try:
+            trained = learn_bpe(lines, TokenizerConfig(vocab_size=size, character_coverage=coverage,
+                                                       special_tokens=tuple(specials)))
+            break
+        except ValueError:  # merges exhausted below this size
+            continue
+    merges = data.draw(st.permutations(trained.merges))
+    for _ in range(data.draw(st.integers(1, 3)) if merges else 0):  # a pair listed twice keeps its first rank
+        merges.insert(data.draw(st.integers(0, len(merges))), data.draw(st.sampled_from(merges)))
+    outputs = sorted({a + b for a, b in merges} - set(specials))
+    dropped = data.draw(st.sets(st.sampled_from(outputs))) if outputs else set()
+    vocab = {s: i for s, i in trained.vocab.items() if s not in dropped}
+    model = BpeModel(merges=merges, vocab=vocab, special_tokens=specials)
+
+    seen = st.sampled_from(words + specials)
+    text = " ".join(data.draw(st.lists(st.one_of(seen, st.builds(str.__add__, seen, seen), _UNSEEN), max_size=8)))
+    known = {s for s in vocab if len(s) == 1 and s not in specials}
+    unk_id = vocab[specials[0]]
+    expected = []
+    for word in text.split():
+        pieces = [word] if word in specials else oracles.rank_ordered_segment(word, merges, known, specials[0])
+        expected += [vocab.get(p, unk_id) for p in pieces]
+    assert encode(model, text) == expected
