@@ -112,12 +112,18 @@ class BpeModel:
         return self._alphabet
 
 
-def _char_counts(word_counts: Counter) -> Counter:
+def _count(texts: Iterable[str]) -> tuple[Counter, Counter]:
+    """Whitespace-token counts and non-whitespace character counts. Both
+    updates run at C level; the characters ``str.split()`` splits on are
+    exactly those for which ``str.isspace()`` holds, so they are dropped."""
+    words: Counter = Counter()
     chars: Counter = Counter()
-    for word, n in word_counts.items():
-        for ch in word:
-            chars[ch] += n
-    return chars
+    for line in texts:
+        words.update(line.split())
+        chars.update(line)
+    for ch in [ch for ch in chars if ch.isspace()]:
+        del chars[ch]
+    return words, chars
 
 
 def _coverage_alphabet(chars: Counter, coverage: float) -> list[str]:
@@ -143,29 +149,20 @@ def build_alphabet(texts: Iterable[str], coverage: float = 1.0) -> list[str]:
     the smallest prefix covering the requested share of character occurrences."""
     if not 0.0 < coverage <= 1.0:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    word_counts: Counter = Counter()
-    for line in texts:
-        word_counts.update(line.split())
-    return _coverage_alphabet(_char_counts(word_counts), coverage)
-
-
-def _word_symbols(word: str, alphabet: set[str], unk: str, marker: str = WORD_END) -> tuple[str, ...]:
-    """Initial symbol sequence: characters with the marker on the last one;
-    characters outside the alphabet become the unknown surface (unmarked)."""
-    syms = [ch if ch in alphabet else unk for ch in word]
-    syms[-1] = syms[-1] + marker if word[-1] in alphabet else unk
-    return tuple(syms)
+    return _coverage_alphabet(_count(texts)[1], coverage)
 
 
 class _PairIndex:
     """Weighted adjacent-pair counts over all words, with a lazy max-heap.
 
-    Symbols are interned as ints by their string (``symbols``: id -> string,
-    ``ids``: string -> id), so a merge output equal to an existing symbol
-    gets that symbol's id. Words are int lists, merged in place.
-    ``counts[p]`` is the frequency-weighted number of occurrences of the id
-    pair p, and ``where[p]`` the indices of the words that contain it; both
-    hold only pairs that occur. Heap entries are (-count, left, right) with
+    Words are lists of symbol ids, merged in place; ``symbols`` maps an id to
+    its string, and ids are interned by string, so a merge output equal to an
+    existing symbol gets that symbol's id. ``counts[p]`` is the
+    frequency-weighted number of occurrences of the id pair p and holds only
+    pairs that occur. ``where[p]`` is a superset of the indices of the words
+    that contain p, with exactly the keys of ``counts``: a merge adds a word
+    to the pairs it creates there and never removes one, and a pair whose
+    count reaches 0 leaves both. Heap entries are (-count, left, right) with
     string symbols, so the smallest entry is the most frequent pair with ties
     to the lexicographically smallest string pair. An entry is stale when its
     count no longer matches ``counts``; stale entries are dropped when they
@@ -174,19 +171,18 @@ class _PairIndex:
     pair whose count moved.
     """
 
-    def __init__(self, words: list[tuple[str, ...]], freqs: list[int]):
-        self.symbols: list[str] = []
-        self.ids: dict[str, int] = {}
-        self.words = [[self._intern(s) for s in syms] for syms in words]
-        self.freqs = freqs
-        self.counts: Counter = Counter()
-        self.where: dict[tuple[int, int], set[int]] = {}
-        for idx, (syms, n) in enumerate(zip(self.words, freqs)):
-            for pair in zip(syms, syms[1:]):
-                self.counts[pair] += n
-                self.where.setdefault(pair, set()).add(idx)
-        sym = self.symbols
-        self.heap = [(-count, sym[a], sym[b]) for (a, b), count in self.counts.items()]
+    def __init__(self, words: list[list[int]], freqs: list[int], symbols: list[str]):
+        self.words, self.freqs, self.symbols = words, freqs, symbols
+        self.ids = {s: i for i, s in enumerate(symbols)}
+        counts: dict[tuple[int, int], int] = {}
+        where: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+        get = counts.get
+        for idx, (w, n) in enumerate(zip(words, freqs)):
+            for pair in zip(w, w[1:]):
+                counts[pair] = get(pair, 0) + n
+                where[pair].add(idx)
+        self.counts, self.where = counts, where
+        self.heap = [(-count, symbols[a], symbols[b]) for (a, b), count in counts.items()]
         heapq.heapify(self.heap)
 
     def _intern(self, symbol: str) -> int:
@@ -210,47 +206,38 @@ class _PairIndex:
         a, b = self.ids[pair[0]], self.ids[pair[1]]
         new = self._intern(pair[0] + pair[1])
         delta: dict[tuple[int, int], int] = defaultdict(int)
+        removed = 0
         for idx in where.pop((a, b)):
             w, n = words[idx], freqs[idx]
-            touched: list[tuple[int, int]] = []
-            i = w.index(a)
             try:  # non-overlapping occurrences, leftmost first, until index() finds no more
+                i = w.index(a)
                 while True:
                     if i + 1 < len(w) and w[i + 1] == b:
-                        delta[a, b] -= n
+                        removed += n
                         if i:
                             prev = w[i - 1]
                             delta[prev, a] -= n
                             delta[prev, new] += n
-                            touched += (prev, a), (prev, new)
+                            where[prev, new].add(idx)
                         if i + 2 < len(w):
                             nxt = w[i + 2]
                             delta[b, nxt] -= n
                             delta[new, nxt] += n
-                            touched += (b, nxt), (new, nxt)
+                            where[new, nxt].add(idx)
                         w[i:i + 2] = [new]
                     i = w.index(a, i + 1)
             except ValueError:
                 pass
-            # A later site can consume a pair an earlier one made, so membership
-            # follows the merged word, not the sign of the change.
-            pairs = set(zip(w, w[1:]))
-            for p in touched:
-                if p in pairs:
-                    where.setdefault(p, set()).add(idx)
-                elif p in where:
-                    members = where[p]
-                    members.discard(idx)
-                    if not members:
-                        del where[p]
+        delta[a, b] -= removed
         for p, d in delta.items():
-            if d:
-                count = counts[p] + d
-                if count:
-                    counts[p] = count
-                    heapq.heappush(self.heap, (-count, sym[p[0]], sym[p[1]]))
-                else:
-                    del counts[p]
+            # A pair made and consumed in this merge nets to 0 but was added to where.
+            count = counts.get(p, 0) + d
+            if not count:
+                counts.pop(p, None)
+                where.pop(p, None)
+            elif d:
+                counts[p] = count
+                heapq.heappush(self.heap, (-count, sym[p[0]], sym[p[1]]))
 
 
 def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
@@ -263,15 +250,12 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
     if problems:
         raise ValueError("; ".join(problems))
 
-    word_counts: Counter = Counter()
-    for line in texts:
-        word_counts.update(line.split())
+    word_counts, chars = _count(texts)
     if not word_counts:
         raise ValueError("cannot learn a tokenizer from an empty corpus")
 
     specials = list(cfg.special_tokens)
-    alphabet = _coverage_alphabet(_char_counts(word_counts), cfg.character_coverage)
-    alpha_set = set(alphabet)
+    alphabet = _coverage_alphabet(chars, cfg.character_coverage)
 
     vocab: dict[str, int] = {}
     for tok in specials:
@@ -287,15 +271,28 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
             f"{len(alphabet)} characters and their word-final variants ({len(vocab)} entries)"
         )
 
-    words: list[tuple[str, ...]] = []
+    # Initial symbols, interned by string as in BpeModel: a character
+    # outside the alphabet is the unknown token, unmarked at the end too.
+    symbols: dict[str, int] = {}
+
+    def intern(symbol: str) -> int:
+        return symbols.setdefault(symbol, len(symbols))
+
+    unk = intern(specials[0])
+    char_ids = {ch: intern(ch) for ch in alphabet}
+    final_ids = {ch: intern(ch + WORD_END) for ch in alphabet}
+    special_set = set(specials)
+    words: list[list[int]] = []
     freqs: list[int] = []
     for word, n in word_counts.items():
-        if word in vocab:  # a literal special token stays atomic in training too
+        if word in special_set:  # a literal special token stays atomic in training too
             continue
-        words.append(_word_symbols(word, alpha_set, cfg.special_tokens[0]))
+        w = list(map(char_ids.get, word, repeat(unk)))
+        w[-1] = final_ids.get(word[-1], unk)
+        words.append(w)
         freqs.append(n)
 
-    index = _PairIndex(words, freqs)
+    index = _PairIndex(words, freqs, list(symbols))
     merges: list[tuple[str, str]] = []
     while len(vocab) < cfg.vocab_size:
         pair = index.best_pair()

@@ -122,24 +122,39 @@ def _recount(words, freqs):
     return counts, where
 
 
+def _pair_index(words: Counter) -> _PairIndex:
+    ids: dict[str, int] = {}
+    int_words = [[ids.setdefault(s, len(ids)) for s in oracles.word_to_symbols(w)] for w in words]
+    return _PairIndex(int_words, list(words.values()), list(ids))
+
+
+def _merge_to_exhaustion_against_recount(index: _PairIndex, label) -> None:
+    for step in range(200):
+        pair = index.best_pair()
+        if pair is None:
+            break
+        index.apply_merge(pair)
+        counts, where = _recount(index.words, index.freqs)
+        # dict(): Counter equality ignores zero entries, the index must hold none
+        assert dict(index.counts) == dict(counts), (label, step)
+        # where[p] may keep a word that lost p, but holds every word with p
+        assert index.where.keys() == where.keys(), (label, step)
+        assert all(index.where[p] >= members for p, members in where.items()), (label, step)
+        live, sym = set(index.heap), index.symbols
+        assert all((-c, sym[a], sym[b]) in live for (a, b), c in counts.items()), (label, step)
+    assert not index.counts and not index.where, label
+
+
 def test_pair_index_matches_recount_after_every_merge():
     rng = random.Random(5)
     for trial in range(12):
         words = _run_words(rng) if trial % 2 else Counter(
             "".join(rng.choice("abc") for _ in range(rng.randrange(1, 9))) for _ in range(50))
-        index = _PairIndex([oracles.word_to_symbols(w) for w in words], list(words.values()))
-        for step in range(200):
-            pair = index.best_pair()
-            if pair is None:
-                break
-            index.apply_merge(pair)
-            counts, where = _recount(index.words, index.freqs)
-            # dict(): Counter equality ignores zero entries, the index must hold none
-            assert dict(index.counts) == dict(counts), (trial, step)
-            assert index.where == where, (trial, step)
-            live, sym = set(index.heap), index.symbols
-            assert all((-c, sym[a], sym[b]) in live for (a, b), c in counts.items()), (trial, step)
-        assert not index.counts and not index.where, trial
+        _merge_to_exhaustion_against_recount(_pair_index(words), trial)
+    # Merging (ab, ab) in ab ab ab ab a</w> makes (abab, ab) at the first site
+    # and consumes it at the second: its count nets to 0 and it must leave
+    # where. (In abababab alone the last symbol is b</w>, so only three ab form.)
+    _merge_to_exhaustion_against_recount(_pair_index(Counter({"ababababa": 3})), "ababababa")
 
 
 def test_reference_agreement_on_repeated_symbol_runs():
@@ -219,6 +234,15 @@ def test_vocab_too_small_errors():
 def test_vocab_too_large_for_corpus_errors():
     with pytest.raises(ValueError, match="exhausted"):
         learn_bpe(["ab"], TokenizerConfig(vocab_size=5000))
+
+
+def test_word_spelling_a_word_final_symbol_is_trained():
+    # "a</w>" equals the vocabulary entry a</w> but is no special token, so
+    # its five symbols give pairs; only literal specials stay atomic.
+    counts = {"aa": 2, "a</w>": 2}
+    model = learn_bpe(["aa a</w> aa a</w>"], TokenizerConfig(vocab_size=18))
+    assert model.merges == oracles.quadratic_bpe_merges(counts, 3)
+    assert decode(model, encode(model, "a</w>")) == "a</w>"
 
 
 def test_empty_corpus_errors():
