@@ -113,8 +113,9 @@ def cmd_split(args) -> int:
                     out.write("\n".join(art) + "\n\n")
         print(f"units={len(articles)} a={len(side_a)} b={len(side_b)}", file=sys.stderr)
     else:
+        # Lines are keyed by the file's base name, so `a.txt` and `./a.txt` split alike.
         with open(args.infile, "rb") as f:
-            records = list(read_plain_corpus(f, args.infile))
+            records = list(read_plain_corpus(f, Path(args.infile).name))
         side_a, side_b = split_corpus(records, cfg)
         for path, side in ((args.out_a, side_a), (args.out_b, side_b)):
             with _open_out(path) as out:

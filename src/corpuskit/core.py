@@ -29,7 +29,7 @@ class EncodingError(CorpusError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceRecord:
     """One corpus line plus provenance.
 

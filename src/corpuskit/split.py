@@ -5,6 +5,10 @@ ranked by (hash, key) and the first ceil(ratio * n) go to subset A. The
 assignment depends only on (seed, unit key), never on processing order, so
 any number of workers produces the identical partition, and the quota is
 exact: 1000 documents at ratio 0.6 give 600/400 every time.
+
+The ranking keeps one unsigned 64-bit int per item and compares hashes as
+ints. Keys are built and compared only for items whose hash another item
+shares: the lines of one document, a repeated key, or a true collision.
 """
 
 from __future__ import annotations
@@ -12,20 +16,30 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import compress, islice
+from operator import eq
+from typing import Callable, Iterable, Sequence
 
 from .core import SentenceRecord
 
 _KEY_SEP = "\x1f"
 
 
+def _keyed_blake2b(seed: int):
+    """The keyed 8-byte BLAKE2b state of seed, before any message byte."""
+    return hashlib.blake2b(key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"), digest_size=8)
+
+
 def seeded_hash64(seed: int, data: str) -> int:
     """Stable keyed 64-bit hash; the single source of randomness in the toolkit."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-    digest = hashlib.blake2b(data.encode("utf-8"), key=key, digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    h = _keyed_blake2b(seed)
+    h.update(data.encode("utf-8"))
+    return int.from_bytes(h.digest(), "big")
 
 
 def derive_subseed(seed: int, name: str) -> int:
@@ -61,15 +75,61 @@ def split_quota(ratio: float, n_units: int) -> int:
     return math.ceil(Fraction(ratio).limit_denominator(10**9) * n_units)
 
 
+def _hash_keys(seed: int, keys: Iterable[str]) -> array:
+    """seeded_hash64 of each key in order, one unsigned 64-bit int apiece."""
+    prefix = _keyed_blake2b(seed)
+    digests = bytearray()
+    for key in keys:
+        h = prefix.copy()
+        h.update(key.encode("utf-8"))
+        digests += h.digest()
+    hashes = array("Q", digests)
+    if sys.byteorder == "little":
+        hashes.byteswap()  # the digests are big-endian
+    return hashes
+
+
+def _cut(hashes: array, key_at: Callable[[int], str], ratio: float) -> tuple[int, frozenset[str]]:
+    """Rank the distinct keys by (hash, key) and cut after ceil(ratio * n_distinct).
+
+    Item i goes to subset A iff hashes[i] < cut, or hashes[i] == cut and its
+    key is in the returned set. key_at(i) is called only for items whose hash
+    another item shares, and for one item when the cut falls on a lone hash.
+    """
+    ranked = sorted(hashes)
+    shared = set(compress(ranked, map(eq, ranked, islice(ranked, 1, None))))
+    keys_at: dict[int, set[str]] = {}
+    if shared:
+        for i, h in enumerate(hashes):
+            if h in shared:
+                keys_at.setdefault(h, set()).add(key_at(i))
+        ranked = list(dict.fromkeys(ranked))
+    quota = split_quota(ratio, len(ranked) + sum(len(keys) - 1 for keys in keys_at.values()))
+    if quota == 0:
+        return 0, frozenset()
+    extra = 0  # keys beyond the first at each shared hash passed so far
+    for h in sorted(keys_at):
+        before = bisect_left(ranked, h) + extra  # distinct keys ranked below h
+        if quota <= before:
+            break
+        keys = keys_at[h]
+        if quota <= before + len(keys):
+            return h, frozenset(sorted(keys)[: quota - before])
+        extra += len(keys) - 1
+    h = ranked[quota - 1 - extra]
+    return h, frozenset((key_at(hashes.index(h)),))
+
+
 def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
     """Return the unit keys assigned to subset A.
 
     Pure function of (seed, distinct key set); feeding the keys in any order
     or from any number of shards yields the same set.
     """
-    distinct = set(keys)
-    ranked = sorted(distinct, key=lambda k: (seeded_hash64(cfg.seed, k), k))
-    return set(ranked[: split_quota(cfg.ratio, len(ranked))])
+    keys = list(keys)
+    hashes = _hash_keys(cfg.seed, keys)
+    cut, at_cut = _cut(hashes, keys.__getitem__, cfg.ratio)
+    return {key for key, h in zip(keys, hashes) if h < cut or (h == cut and key in at_cut)}
 
 
 def record_unit_key(rec: SentenceRecord, unit: SplitUnit) -> str:
@@ -78,10 +138,15 @@ def record_unit_key(rec: SentenceRecord, unit: SplitUnit) -> str:
     return f"{rec.source_id}{_KEY_SEP}{rec.line_no}"
 
 
-def _partition(items: Sequence, keys: list[str], cfg: SplitConfig) -> tuple[list, list]:
-    side_a = assign_split(keys, cfg)
-    a = [item for item, key in zip(items, keys) if key in side_a]
-    b = [item for item, key in zip(items, keys) if key not in side_a]
+def _partition(items: Sequence, keys: Iterable[str], key_at: Callable[[int], str],
+               cfg: SplitConfig) -> tuple[list, list]:
+    """Split items by the ranking of their keys, given in item order and
+    again one at a time by key_at(i), which is asked only at shared hashes."""
+    hashes = _hash_keys(cfg.seed, keys)
+    cut, at_cut = _cut(hashes, key_at, cfg.ratio)
+    a, b = [], []
+    for i, h in enumerate(hashes):
+        (a if h < cut or (h == cut and key_at(i) in at_cut) else b).append(items[i])
     return a, b
 
 
@@ -92,7 +157,12 @@ def split_corpus(
     """Partition records into (A, B); with unit=DOCUMENT all records sharing a
     source_id move together. Input order is preserved within each side."""
     records = list(records)
-    return _partition(records, [record_unit_key(r, cfg.unit) for r in records], cfg)
+    if cfg.unit is SplitUnit.DOCUMENT:
+        # Rank each source once; its records follow it.
+        side_a = assign_split(dict.fromkeys(r.source_id for r in records), cfg)
+        return [r for r in records if r.source_id in side_a], [r for r in records if r.source_id not in side_a]
+    return _partition(records, (f"{r.source_id}{_KEY_SEP}{r.line_no}" for r in records),
+                      lambda i: record_unit_key(records[i], SplitUnit.LINE), cfg)
 
 
 def split_articles(
@@ -100,5 +170,7 @@ def split_articles(
     cfg: SplitConfig,
 ) -> tuple[list[list[str]], list[list[str]]]:
     """Partition whole articles (each one split unit, keyed by its position)."""
-    keys = [f"article{_KEY_SEP}{i}" for i in range(len(articles))]
-    return _partition(articles, keys, cfg)
+    def key_at(i: int) -> str:
+        return f"article{_KEY_SEP}{i}"
+
+    return _partition(articles, map(key_at, range(len(articles))), key_at, cfg)

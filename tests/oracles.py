@@ -15,6 +15,7 @@ import unicodedata
 from collections import Counter
 
 from corpuskit.filters import is_latin, is_punct
+from corpuskit.split import record_unit_key, seeded_hash64, split_quota
 
 WORD_END = "</w>"
 
@@ -151,6 +152,31 @@ def dedup_keep_first(texts: list[str]) -> list[str]:
             seen.add(t)
             out.append(t)
     return out
+
+
+# --- split ------------------------------------------------------------------
+# The ranking the library used before it ranked hashes as ints: every
+# distinct key sorted by its (hash, key) tuple, side A as a set of keys.
+
+def reference_assign_split(keys, cfg, hash64=seeded_hash64) -> set[str]:
+    distinct = set(keys)
+    ranked = sorted(distinct, key=lambda k: (hash64(cfg.seed, k), k))
+    return set(ranked[: split_quota(cfg.ratio, len(ranked))])
+
+
+def reference_partition(items, keys, cfg, hash64=seeded_hash64) -> tuple[list, list]:
+    side_a = reference_assign_split(keys, cfg, hash64)
+    a = [item for item, key in zip(items, keys) if key in side_a]
+    b = [item for item, key in zip(items, keys) if key not in side_a]
+    return a, b
+
+
+def reference_split_corpus(records, cfg, hash64=seeded_hash64) -> tuple[list, list]:
+    return reference_partition(records, [record_unit_key(r, cfg.unit) for r in records], cfg, hash64)
+
+
+def reference_split_articles(articles, cfg, hash64=seeded_hash64) -> tuple[list, list]:
+    return reference_partition(articles, [f"article\x1f{i}" for i in range(len(articles))], cfg, hash64)
 
 
 # --- BPE --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property: the trainer's merges equal those of the recount-every-merge
 reference (tests/oracles.py), on words that spell the end-of-word marker and
-repeat short runs, where one merge removes and re-creates pairs in a word."""
+repeat short runs, where one merge removes and re-creates pairs in a word,
+and on words spelled like a vocabulary entry: one character plus the marker,
+or a literal special token."""
 
 import pytest
 
@@ -13,11 +15,18 @@ from corpuskit.bpe import DEFAULT_SPECIALS, WORD_END, TokenizerConfig, learn_bpe
 import oracles
 
 # Single characters, plus the whole marker so that words often spell it.
-_PIECE = st.sampled_from(["a", "b", "é", "<", "/", "w", ">", WORD_END])
+_CHARS = ["a", "b", "é", "<", "/", "w", ">"]
+_PIECE = st.sampled_from([*_CHARS, WORD_END])
 _RUN = st.builds(lambda unit, times: unit * times, st.lists(_PIECE, min_size=1, max_size=3).map("".join),
                  st.integers(1, 4))
-_WORDS = st.dictionaries(st.lists(_RUN, min_size=1, max_size=3).map("".join), st.integers(1, 9),
-                         min_size=1, max_size=12)
+# Words that spell a vocabulary entry are drawn on purpose: only a special
+# token stays out of training, a word like "a</w>" is trained like any other.
+_WORD = st.one_of(
+    st.lists(_RUN, min_size=1, max_size=3).map("".join),
+    st.sampled_from(_CHARS).map(lambda ch: ch + WORD_END),
+    st.sampled_from(DEFAULT_SPECIALS),
+)
+_WORDS = st.dictionaries(_WORD, st.integers(1, 9), min_size=1, max_size=12)
 
 
 @settings(max_examples=300, deadline=None)

@@ -119,6 +119,19 @@ def test_split_lines(tmp_path):
     assert not set(la) & set(lb)
 
 
+def test_split_lines_ignores_how_the_path_is_spelled(tmp_path, monkeypatch):
+    (tmp_path / "a.txt").write_text("".join(f"linya numero {i} dito\n" for i in range(40)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    sides = []
+    for n, spelling in enumerate(("a.txt", "./a.txt", tmp_path / "a.txt")):
+        a, b = f"a{n}.out", f"b{n}.out"
+        assert run_cli("split", "--in", spelling, "--ratio", 0.5, "--seed", 1,
+                       "--unit", "line", "--out-a", a, "--out-b", b) == 0
+        sides.append((Path(a).read_bytes(), Path(b).read_bytes()))
+    assert sides[0] == sides[1] == sides[2]
+    assert sides[0][0] and sides[0][1]
+
+
 def test_split_documents(tmp_path):
     src = tmp_path / "arts.txt"
     blocks = [f"artikulo {i} una\nartikulo {i} ikalawa\n" for i in range(10)]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -74,6 +75,22 @@ def test_record_rejects_line_terminators():
 def test_record_rejects_bad_line_no():
     with pytest.raises(ValueError):
         SentenceRecord("ok", "s", 0)
+
+
+def test_record_is_slotted_and_frozen():
+    rec = SentenceRecord("ok", "s", 3)
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.text = "changed"
+    with pytest.raises((AttributeError, TypeError)):
+        rec.extra = 1  # no slot and no __dict__ to hold it
+    moved = dataclasses.replace(rec, line_no=4)
+    assert moved == SentenceRecord("ok", "s", 4) and rec.line_no == 3
+    # replace builds a new record, so __post_init__ checks it again
+    with pytest.raises(ValueError):
+        dataclasses.replace(rec, text="a\rb")
+    with pytest.raises(ValueError):
+        dataclasses.replace(rec, line_no=0)
 
 
 def test_verdict_consistency_enforced():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from corpuskit.core import SentenceRecord
@@ -22,6 +23,15 @@ def test_hash_is_stable_and_seed_dependent():
     assert seeded_hash64(1, "x") == seeded_hash64(1, "x")
     assert seeded_hash64(1, "x") != seeded_hash64(2, "x")
     assert seeded_hash64(1, "x") != seeded_hash64(1, "y")
+
+
+def test_hash_is_one_shot_keyed_blake2b():
+    # nli and derive_subseed rely on these exact values; negative and
+    # oversized seeds are reduced mod 2**64 before keying.
+    for seed, key in ((0, 0), (-1, 2**64 - 1), (2**64 + 5, 5)):
+        for data in ("", "x", "web\x1f17", "kamusta é"):
+            digest = hashlib.blake2b(data.encode("utf-8"), key=key.to_bytes(8, "big"), digest_size=8).digest()
+            assert seeded_hash64(seed, data) == int.from_bytes(digest, "big")
 
 
 def test_subseeds_differ_by_name():
