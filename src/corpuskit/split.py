@@ -8,7 +8,7 @@ exact: 1000 documents at ratio 0.6 give 600/400 every time.
 
 The ranking keeps one unsigned 64-bit int per item and compares hashes as
 ints. Keys are built and compared only for items whose hash another item
-shares: the lines of one document, a repeated key, or a true collision.
+shares: a repeated key or a true collision.
 """
 
 from __future__ import annotations
