@@ -69,7 +69,6 @@ from .split import (
     split_corpus,
 )
 from .tweets import (
-    TweetPrepConfig,
     collapse_hashtags,
     collapse_links,
     collapse_mentions,

@@ -63,7 +63,6 @@ class BpeModel:
     merges: list[tuple[str, str]]
     vocab: dict[str, int]  # subword -> id, specials included
     special_tokens: list[str]
-    end_of_word_marker: str = WORD_END
     config: TokenizerConfig = field(default_factory=TokenizerConfig)
 
     def __post_init__(self) -> None:
@@ -71,22 +70,18 @@ class BpeModel:
         # segmenter works on symbols interned as ints by their string, so a
         # merge output that spells an existing symbol gets that symbol's id.
         specials = set(self.special_tokens)
-        marker = self.end_of_word_marker
-        chars = [s for s in self.vocab if len(s) == 1 and s not in specials]
-        self._alphabet = set(chars)
+        self._first_symbols = _first_symbols(self.vocab, self.special_tokens)
+        self._alphabet = {s for s in self._first_symbols if len(s) == 1} - specials
         self._id_to_subword = {i: s for s, i in self.vocab.items()}
         self._surface = {  # id -> decoded text; specials and word ends carry the space
-            i: s + " " if s in specials else s[: -len(marker)] + " " if s.endswith(marker) else s
+            i: s + " " if s in specials else s[: -len(WORD_END)] + " " if s.endswith(WORD_END) else s
             for i, s in self._id_to_subword.items()
         }
-        symbols: dict[str, int] = {}
+        symbols = dict(self._first_symbols)
 
         def intern(symbol: str) -> int:
             return symbols.setdefault(symbol, len(symbols))
 
-        self._unk_symbol = intern(self.unk_token)
-        self._char_symbols = {ch: intern(ch) for ch in chars}
-        self._final_symbols = {ch: intern(ch + marker) for ch in chars}
         self._pair_ranks: dict[tuple[int, int], int] = {}
         for rank, (a, b) in enumerate(self.merges):
             self._pair_ranks.setdefault((intern(a), intern(b)), rank)  # first rank wins
@@ -112,21 +107,43 @@ class BpeModel:
         return self._alphabet
 
 
-def _count(texts: Iterable[str]) -> tuple[Counter, Counter]:
-    """Whitespace-token counts and non-whitespace character counts. Both
-    updates run at C level; the characters ``str.split()`` splits on are
-    exactly those for which ``str.isspace()`` holds, so they are dropped."""
+def _count(texts: Iterable[str]) -> tuple[Counter, dict[str, int]]:
+    """Whitespace-token counts, and the characters of the tokens weighted by
+    their counts. ``str.split()`` splits on exactly the characters for which
+    ``str.isspace()`` holds, so these are the texts' non-whitespace
+    characters, words that are special tokens included."""
     words: Counter = Counter()
-    chars: Counter = Counter()
     for line in texts:
         words.update(line.split())
-        chars.update(line)
-    for ch in [ch for ch in chars if ch.isspace()]:
-        del chars[ch]
+    chars: dict[str, int] = {}
+    get = chars.get
+    for word, n in words.items():
+        for ch in word:
+            chars[ch] = get(ch, 0) + n
     return words, chars
 
 
-def _coverage_alphabet(chars: Counter, coverage: float) -> list[str]:
+def _first_symbols(vocab: Iterable[str], specials: Sequence[str]) -> dict[str, int]:
+    """The first symbol table, interned by string: the unknown token (the
+    first special) is symbol 0, then each single character in the vocabulary,
+    then each one's word-final form. A single-character special token is left
+    out, so inside a word it is the unknown symbol."""
+    chars = [s for s in vocab if len(s) == 1 and s not in specials]
+    symbols = {specials[0]: 0}
+    for symbol in (*chars, *(ch + WORD_END for ch in chars)):
+        symbols.setdefault(symbol, len(symbols))
+    return symbols
+
+
+def _first_ids(word: str, first: dict[str, int]) -> list[int]:
+    """A word's first symbols: its characters, the last in word-final form.
+    A character not in the table is the unknown symbol, unmarked at the end."""
+    ids = list(map(first.get, word, repeat(0)))
+    ids[-1] = first.get(word[-1] + WORD_END, 0)
+    return ids
+
+
+def _coverage_alphabet(chars: dict[str, int], coverage: float) -> list[str]:
     if not chars:
         raise ValueError("cannot build an alphabet from an empty corpus")
     ranked = sorted(chars.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -155,11 +172,11 @@ def build_alphabet(texts: Iterable[str], coverage: float = 1.0) -> list[str]:
 class _PairIndex:
     """Weighted adjacent-pair counts over all words, with a lazy max-heap.
 
-    Words are lists of symbol ids, merged in place; ``symbols`` maps an id to
-    its string, and ids are interned by string, so a merge output equal to an
-    existing symbol gets that symbol's id. ``counts[p]`` is the
-    frequency-weighted number of occurrences of the id pair p and holds only
-    pairs that occur. ``where[p]`` is a superset of the indices of the words
+    Words are lists of symbol ids, merged in place. ``ids`` is the symbol
+    table, grown by interning each merge output by string, so an output equal
+    to an existing symbol gets that symbol's id; ``symbols`` maps an id back
+    to its string. ``counts[p]`` is the frequency-weighted number of
+    occurrences of the id pair p and holds only pairs that occur. ``where[p]`` is a superset of the indices of the words
     that contain p, with exactly the keys of ``counts``: a merge adds a word
     to the pairs it creates there and never removes one, and a pair whose
     count reaches 0 leaves both. Heap entries are (-count, left, right) with
@@ -171,9 +188,9 @@ class _PairIndex:
     pair whose count moved.
     """
 
-    def __init__(self, words: list[list[int]], freqs: list[int], symbols: list[str]):
-        self.words, self.freqs, self.symbols = words, freqs, symbols
-        self.ids = {s: i for i, s in enumerate(symbols)}
+    def __init__(self, words: list[list[int]], freqs: list[int], ids: dict[str, int]):
+        self.words, self.freqs, self.ids = words, freqs, ids
+        self.symbols = symbols = list(ids)
         counts: dict[tuple[int, int], int] = {}
         where: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
         get = counts.get
@@ -251,19 +268,12 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
         raise ValueError("; ".join(problems))
 
     word_counts, chars = _count(texts)
-    if not word_counts:
-        raise ValueError("cannot learn a tokenizer from an empty corpus")
-
     specials = list(cfg.special_tokens)
     alphabet = _coverage_alphabet(chars, cfg.character_coverage)
 
     vocab: dict[str, int] = {}
-    for tok in specials:
-        vocab[tok] = len(vocab)
-    for ch in alphabet:
-        vocab.setdefault(ch, len(vocab))
-    for ch in alphabet:
-        vocab.setdefault(ch + WORD_END, len(vocab))
+    for symbol in (*specials, *alphabet, *(ch + WORD_END for ch in alphabet)):
+        vocab.setdefault(symbol, len(vocab))
 
     if cfg.vocab_size < len(vocab):
         raise ValueError(
@@ -271,28 +281,16 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
             f"{len(alphabet)} characters and their word-final variants ({len(vocab)} entries)"
         )
 
-    # Initial symbols, interned by string as in BpeModel: a character
-    # outside the alphabet is the unknown token, unmarked at the end too.
-    symbols: dict[str, int] = {}
-
-    def intern(symbol: str) -> int:
-        return symbols.setdefault(symbol, len(symbols))
-
-    unk = intern(specials[0])
-    char_ids = {ch: intern(ch) for ch in alphabet}
-    final_ids = {ch: intern(ch + WORD_END) for ch in alphabet}
+    first = _first_symbols(vocab, specials)
     special_set = set(specials)
     words: list[list[int]] = []
     freqs: list[int] = []
     for word, n in word_counts.items():
-        if word in special_set:  # a literal special token stays atomic in training too
-            continue
-        w = list(map(char_ids.get, word, repeat(unk)))
-        w[-1] = final_ids.get(word[-1], unk)
-        words.append(w)
-        freqs.append(n)
+        if word not in special_set:  # a literal special token stays atomic in training too
+            words.append(_first_ids(word, first))
+            freqs.append(n)
 
-    index = _PairIndex(words, freqs, list(symbols))
+    index = _PairIndex(words, freqs, first)
     merges: list[tuple[str, str]] = []
     while len(vocab) < cfg.vocab_size:
         pair = index.best_pair()
@@ -313,9 +311,7 @@ def _segment_word(word: str, model: BpeModel) -> tuple[int, ...]:
     leftmost occurrence first, on interned symbols. ``ranks[i]`` is the rank
     of the pair at i (``len(merges)`` when no merge applies); a merge splices
     its output in and recomputes only the two neighbouring ranks."""
-    unk = model._unk_symbol
-    symbols = list(map(model._char_symbols.get, word, repeat(unk)))
-    symbols[-1] = model._final_symbols.get(word[-1], unk)
+    symbols = _first_ids(word, model._first_symbols)
     pair_rank, outputs = model._pair_ranks.get, model._merge_outputs
     none = len(outputs)
     ranks = list(map(pair_rank, zip(symbols, symbols[1:]), repeat(none)))
@@ -389,7 +385,6 @@ def add_special_tokens(model: BpeModel, tokens: Sequence[str]) -> BpeModel:
         merges=list(model.merges),
         vocab=vocab,
         special_tokens=specials,
-        end_of_word_marker=model.end_of_word_marker,
         config=model.config,
     )
 
@@ -406,7 +401,7 @@ _HEADER_FIELDS = ("marker", "vocab_size", "coverage", "specials")
 def save_model(model: BpeModel, merges_path: Path | str, vocab_path: Path | str) -> None:
     cfg = model.config
     header = (
-        f"{_HEADER_PREFIX}\tmarker={model.end_of_word_marker}"
+        f"{_HEADER_PREFIX}\tmarker={WORD_END}"
         f"\tvocab_size={cfg.vocab_size}\tcoverage={cfg.character_coverage!r}"
         f"\tcased=true\tspecials={' '.join(model.special_tokens)}"
     )
@@ -440,6 +435,8 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
         missing = [key for key in _HEADER_FIELDS if not fields.get(key)]
         if missing:
             raise ValueError(f"{merges_path}:1: header has no value for {' '.join(missing)}")
+        if fields["marker"] != WORD_END:
+            raise ValueError(f"{merges_path}:1: end-of-word marker {fields['marker']!r} is not {WORD_END!r}")
         try:
             vocab_size, coverage = int(fields["vocab_size"]), float(fields["coverage"])
         except ValueError as e:
@@ -465,7 +462,6 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
         merges=merges,
         vocab=vocab,
         special_tokens=specials,
-        end_of_word_marker=fields["marker"],
         config=cfg,
     )
     if len(model._id_to_subword) < len(vocab):  # an id is listed twice
@@ -477,8 +473,8 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
             seen.add(i)
     # A merge output spelling the unknown token is that token; any other one
     # that maps to the unknown id is missing from the vocabulary.
-    unk_id, unk_symbol = model.unk_id, model._unk_symbol
+    unk_id = model.unk_id
     for line_no, (out, (a, b)) in enumerate(zip(model._merge_outputs, merges), 2):
-        if out != unk_symbol and model._symbol_ids[out] == unk_id:
+        if out and model._symbol_ids[out] == unk_id:
             raise ValueError(f"{merges_path}:{line_no}: merge output {a + b!r} is missing from {vocab_path}")
     return model

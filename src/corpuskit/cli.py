@@ -16,7 +16,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import bpe, dedup, nli, pipeline, tweets
-from .core import CorpusError
+from .core import CorpusError, decode_line
 from .filters import FilterConfig, apply_filters
 from .ingest import (
     SKIP_KINDS,
@@ -32,6 +32,12 @@ from .split import SplitConfig, SplitUnit, split_articles, split_corpus
 
 def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _decoded_lines(f, path: str):
+    """The lines of a file opened in binary, split on "\\n" only. Invalid
+    UTF-8 raises EncodingError naming the file and line."""
+    return (decode_line(raw, path, line_no) for line_no, raw in enumerate(f, 1))
 
 
 def cmd_ingest(args) -> int:
@@ -134,9 +140,8 @@ def cmd_train_bpe(args) -> int:
 
     def texts():
         for path in args.inputs:
-            with open(path, "r", encoding="utf-8") as f:
-                for line in f:
-                    yield line
+            with open(path, "rb") as f:
+                yield from _decoded_lines(f, path)
 
     model = bpe.learn_bpe(texts(), cfg)
     bpe.save_model(model, args.merges_out, args.vocab_out)
@@ -146,25 +151,24 @@ def cmd_train_bpe(args) -> int:
 
 def cmd_encode(args) -> int:
     model = bpe.load_model(args.merges, args.vocab)
-    with open(args.infile, "r", encoding="utf-8", newline="\n") as f, _open_out(args.out) as out:
-        for line in f:
+    with open(args.infile, "rb") as f, _open_out(args.out) as out:
+        for line in _decoded_lines(f, args.infile):
             ids = bpe.encode(model, line.rstrip("\r\n"))
             out.write(" ".join(map(str, ids)) + "\n")
     return 0
 
 
 def cmd_prep_tweets(args) -> int:
-    cfg = tweets.DEFAULT_TWEET_CONFIG
     n = 0
-    with open(args.infile, "r", encoding="utf-8", newline="\n") as f, _open_out(args.out) as out:
-        for line in f:
+    with open(args.infile, "rb") as f, _open_out(args.out) as out:
+        for line in _decoded_lines(f, args.infile):
             line = line.rstrip("\r\n")
             if not line:
                 continue
             text, sep, label = line.rpartition("\t")
             if not sep:  # no label column, clean the whole line
                 text, label = line, None
-            cleaned = tweets.preprocess_tweet(text, cfg)
+            cleaned = tweets.preprocess_tweet(text)
             out.write(cleaned + ("\t" + label if label is not None else "") + "\n")
             n += 1
     print(f"processed={n}", file=sys.stderr)
@@ -173,8 +177,8 @@ def cmd_prep_tweets(args) -> int:
 
 def cmd_encode_labels(args) -> int:
     n = 0
-    with open(args.infile, "r", encoding="utf-8", newline="\n") as f, _open_out(args.out) as out:
-        for ln, line in enumerate(f, start=1):
+    with open(args.infile, "rb") as f, _open_out(args.out) as out:
+        for ln, line in enumerate(_decoded_lines(f, args.infile), start=1):
             line = line.strip()
             if not line:
                 continue

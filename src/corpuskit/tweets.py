@@ -12,10 +12,11 @@ and entity decoding must run before token-pattern matching).
 
 from __future__ import annotations
 
-import functools
 import re
-from dataclasses import dataclass, field
-from typing import Mapping
+
+LINK_TOKEN = "[LINK]"
+MENTION_TOKEN = "[MENTION]"
+HASHTAG_TOKEN = "[HASHTAG]"
 
 DEFAULT_ENTITY_MAP = {
     "&amp;": "&",
@@ -25,24 +26,6 @@ DEFAULT_ENTITY_MAP = {
     "&#39;": "'",
     "&nbsp;": " ",
 }
-
-
-@dataclass(frozen=True)
-class TweetPrepConfig:
-    link_token: str = "[LINK]"
-    mention_token: str = "[MENTION]"
-    hashtag_token: str = "[HASHTAG]"
-    entity_map: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_ENTITY_MAP))
-
-    def validate(self) -> list[str]:
-        tokens = (self.link_token, self.mention_token, self.hashtag_token)
-        problems = []
-        if len(set(tokens)) != 3 or not all(tokens):
-            problems.append(f"placeholder tokens must be distinct and non-empty, got {tokens}")
-        return problems
-
-
-DEFAULT_TWEET_CONFIG = TweetPrepConfig()
 
 _GLUE_LEFT = ".,!?;:%)]}"  # sentence punctuation and closing brackets
 _OPENERS = "([{"
@@ -70,10 +53,10 @@ def moses_detokenize(text: str) -> str:
     return "".join(out)
 
 
-def collapse_links(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
+def collapse_links(text: str) -> str:
     """Replace every URL-shaped token (http/https scheme or www. prefix)."""
     tokens = [
-        cfg.link_token
+        LINK_TOKEN
         if t.lower().startswith(("http://", "https://", "www."))
         else t
         for t in text.split()
@@ -90,12 +73,12 @@ def _collapse_prefixed(text: str, prefix: str, replacement: str) -> str:
     return " ".join(tokens)
 
 
-def collapse_mentions(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
-    return _collapse_prefixed(text, "@", cfg.mention_token)
+def collapse_mentions(text: str) -> str:
+    return _collapse_prefixed(text, "@", MENTION_TOKEN)
 
 
-def collapse_hashtags(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
-    return _collapse_prefixed(text, "#", cfg.hashtag_token)
+def collapse_hashtags(text: str) -> str:
+    return _collapse_prefixed(text, "#", HASHTAG_TOKEN)
 
 
 _SPACED_APOSTROPHE = re.compile(r"(?<=\w) (?=['’]\w)")
@@ -109,30 +92,25 @@ def renormalize_spacing(text: str) -> str:
     return _SPACED_HYPHEN.sub("-", text)
 
 
-@functools.lru_cache(maxsize=16)
-def _entity_pattern(keys: tuple[str, ...]) -> re.Pattern[str]:
-    # Longest key first, so an entity that prefixes another never wins.
-    return re.compile("|".join(re.escape(k) for k in sorted(keys, key=len, reverse=True)))
+# Longest key first, so an entity that prefixes another never wins.
+_ENTITY = re.compile("|".join(re.escape(k) for k in sorted(DEFAULT_ENTITY_MAP, key=len, reverse=True)))
 
 
-def decode_html_entities(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
+def decode_html_entities(text: str) -> str:
     """Decode the mapped HTML entities in one left-to-right pass.
 
     Unknown entities stay as written. One escaping level per call: doubly
     escaped input ("&amp;amp;") needs a second pass by design.
     """
-    entity_map = cfg.entity_map
-    if not entity_map:
-        return text
-    return _entity_pattern(tuple(entity_map)).sub(lambda m: entity_map[m.group(0)], text)
+    return _ENTITY.sub(lambda m: DEFAULT_ENTITY_MAP[m.group(0)], text)
 
 
-def preprocess_tweet(text: str, cfg: TweetPrepConfig = DEFAULT_TWEET_CONFIG) -> str:
+def preprocess_tweet(text: str) -> str:
     """Full cleanup pipeline in fixed order: detokenize, decode entities,
     collapse links, mentions, hashtags, then renormalize spacing."""
     text = moses_detokenize(text)
-    text = decode_html_entities(text, cfg)
-    text = collapse_links(text, cfg)
-    text = collapse_mentions(text, cfg)
-    text = collapse_hashtags(text, cfg)
+    text = decode_html_entities(text)
+    text = collapse_links(text)
+    text = collapse_mentions(text)
+    text = collapse_hashtags(text)
     return renormalize_spacing(text)

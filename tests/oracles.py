@@ -191,6 +191,16 @@ def word_to_symbols(word: str, alphabet=None, unk: str = "<unk>") -> tuple[str, 
     return tuple(syms)
 
 
+def reference_char_counts(lines) -> Counter:
+    """Each line's characters, one at a time, whitespace left out."""
+    counts: Counter = Counter()
+    for line in lines:
+        for ch in line:
+            if not ch.isspace():
+                counts[ch] += 1
+    return counts
+
+
 def merge_pair(syms: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
     out = []
     i = 0

@@ -125,7 +125,7 @@ def _recount(words, freqs):
 def _pair_index(words: Counter) -> _PairIndex:
     ids: dict[str, int] = {}
     int_words = [[ids.setdefault(s, len(ids)) for s in oracles.word_to_symbols(w)] for w in words]
-    return _PairIndex(int_words, list(words.values()), list(ids))
+    return _PairIndex(int_words, list(words.values()), ids)
 
 
 def _merge_to_exhaustion_against_recount(index: _PairIndex, label) -> None:
@@ -243,6 +243,14 @@ def test_word_spelling_a_word_final_symbol_is_trained():
     model = learn_bpe(["aa a</w> aa a</w>"], TokenizerConfig(vocab_size=18))
     assert model.merges == oracles.quadratic_bpe_merges(counts, 3)
     assert decode(model, encode(model, "a</w>")) == "a</w>"
+
+
+def test_single_character_special_is_unknown_inside_a_word_in_training():
+    # As encode sees it, "xa" is <unk> a</w> when "x" is a special token, so
+    # training learns merges of <unk>, never one with "x" that encode cannot apply.
+    model = learn_bpe(["xa xa xa xb ab"], TokenizerConfig(vocab_size=9, special_tokens=("<unk>", "x")))
+    assert model.merges == [("<unk>", "a</w>"), ("<unk>", "b</w>")]
+    assert encode(model, "xa xb x") == [model.vocab["<unk>a</w>"], model.vocab["<unk>b</w>"], model.vocab["x"]]
 
 
 def test_empty_corpus_errors():
@@ -391,7 +399,6 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.merges == model.merges
     assert loaded.vocab == model.vocab
     assert loaded.special_tokens == model.special_tokens
-    assert loaded.end_of_word_marker == model.end_of_word_marker
 
     m2, v2 = tmp_path / "m2.txt", tmp_path / "v2.txt"
     save_model(loaded, m2, v2)

@@ -1,8 +1,9 @@
-"""Property: the trainer's merges equal those of the recount-every-merge
+"""Properties: the trainer's merges equal those of the recount-every-merge
 reference (tests/oracles.py), on words that spell the end-of-word marker and
 repeat short runs, where one merge removes and re-creates pairs in a word,
 and on words spelled like a vocabulary entry: one character plus the marker,
-or a literal special token."""
+or a literal special token. The character counts taken from the word counts
+equal a per-line count of the non-whitespace characters."""
 
 import pytest
 
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from corpuskit.bpe import DEFAULT_SPECIALS, WORD_END, TokenizerConfig, learn_bpe
+from corpuskit.bpe import DEFAULT_SPECIALS, WORD_END, TokenizerConfig, _count, learn_bpe
 
 import oracles
 
@@ -43,3 +44,15 @@ def test_merges_equal_the_recount_reference(words, data):
     model = learn_bpe([w for w, n in words.items() for _ in range(n)], TokenizerConfig(vocab_size=len(vocab)))
     assert model.merges == reference[:len(model.merges)]
     assert set(model.vocab) == vocab
+
+
+# Whitespace that str.split() splits on, ASCII and not, between special
+# tokens and arbitrary text (which may hold whitespace of its own).
+_SPACE = st.sampled_from([" ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
+_LINE = st.lists(st.one_of(_SPACE, st.sampled_from(DEFAULT_SPECIALS), st.text(max_size=4)), max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=6))
+def test_character_counts_equal_the_per_line_reference(lines):
+    assert dict(_count(lines)[1]) == dict(oracles.reference_char_counts(lines))

@@ -218,6 +218,11 @@ def _id_not_integer(merges, vocab):
     return vocab, len(vocab.read_text(encoding="utf-8").splitlines())
 
 
+def _other_marker(merges, vocab):
+    merges.write_text(merges.read_text(encoding="utf-8").replace("marker=</w>", "marker=@@", 1), encoding="utf-8")
+    return merges, 1
+
+
 def _merge_output_missing(merges, vocab):
     lines = vocab.read_text(encoding="utf-8").splitlines(keepends=True)
     vocab.write_text("".join(line for line in lines if not line.startswith("ewest</w>\t")), encoding="utf-8")
@@ -227,9 +232,9 @@ def _merge_output_missing(merges, vocab):
 
 @pytest.mark.parametrize(
     "corrupt", [_header_only, _three_field_merge, _duplicate_id, _duplicate_subword, _id_not_integer,
-                _merge_output_missing],
+                _merge_output_missing, _other_marker],
     ids=["header-without-fields", "three-field-merge", "duplicate-id", "duplicate-subword", "id-not-integer",
-         "merge-output-missing"])
+         "merge-output-missing", "other-marker"])
 def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt):
     merges, vocab = _train_toy_model(tmp_path)
     bad_file, line_no = corrupt(merges, vocab)
@@ -240,6 +245,24 @@ def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt)
                    "--out", tmp_path / "ids.txt") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: [encode] {bad_file}:{line_no}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["train-bpe", "encode", "prep-tweets", "encode-labels"])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
+    merges, vocab = _train_toy_model(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0,0,0,0,0\nlow \xff\t1\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "train-bpe": ["--vocab-size", 30, "--merges-out", tmp_path / "m2.txt", "--vocab-out", tmp_path / "v2.txt"],
+        "encode": ["--merges", merges, "--vocab", vocab, "--out", out],
+        "prep-tweets": ["--out", out],
+        "encode-labels": ["--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid UTF-8 in source '{bad}' at line 2: ") and err.count("\n") == 1, err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

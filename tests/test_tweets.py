@@ -1,7 +1,6 @@
 import pytest
 
 from corpuskit.tweets import (
-    TweetPrepConfig,
     collapse_hashtags,
     collapse_links,
     collapse_mentions,
@@ -68,16 +67,6 @@ def test_decode_entities_cases():
     assert decode_html_entities("&lt;3") == "<3"
     assert decode_html_entities("AT&T") == "AT&T"
     assert decode_html_entities("&unknown; stays") == "&unknown; stays"
-
-
-def test_custom_placeholders():
-    cfg = TweetPrepConfig(link_token="<url>", mention_token="<m>", hashtag_token="<h>")
-    assert preprocess_tweet("@a #b http://c", cfg) == "<m> <h> <url>"
-
-
-def test_placeholder_validation():
-    assert TweetPrepConfig().validate() == []
-    assert TweetPrepConfig(link_token="[X]", mention_token="[X]").validate() != []
 
 
 @pytest.mark.parametrize("raw,expected", TWEET_CASES, ids=range(len(TWEET_CASES)))
