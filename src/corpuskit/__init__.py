@@ -69,9 +69,7 @@ from .split import (
     split_corpus,
 )
 from .tweets import (
-    collapse_hashtags,
-    collapse_links,
-    collapse_mentions,
+    collapse_tokens,
     decode_html_entities,
     moses_detokenize,
     preprocess_tweet,

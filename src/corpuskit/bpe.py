@@ -269,7 +269,9 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
 
     word_counts, chars = _count(texts)
     specials = list(cfg.special_tokens)
-    alphabet = _coverage_alphabet(chars, cfg.character_coverage)
+    special_set = set(specials)
+    # A single-character special gets no word-final form: in a word it is the unknown symbol.
+    alphabet = [ch for ch in _coverage_alphabet(chars, cfg.character_coverage) if ch not in special_set]
 
     vocab: dict[str, int] = {}
     for symbol in (*specials, *alphabet, *(ch + WORD_END for ch in alphabet)):
@@ -282,7 +284,6 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
         )
 
     first = _first_symbols(vocab, specials)
-    special_set = set(specials)
     words: list[list[int]] = []
     freqs: list[int] = []
     for word, n in word_counts.items():

@@ -109,25 +109,26 @@ def cmd_split(args) -> int:
         raise CorpusError("; ".join(problems))
 
     if cfg.unit is SplitUnit.DOCUMENT:
+        # Imported at call time, so a wrapper set on ingest.read_articles_file is the one called.
         from .ingest import read_articles_file
 
-        articles = list(read_articles_file(args.infile))
-        side_a, side_b = split_articles(articles, cfg)
-        for path, side in ((args.out_a, side_a), (args.out_b, side_b)):
-            with _open_out(path) as out:
-                for art in side:
-                    out.write("\n".join(art) + "\n\n")
-        print(f"units={len(articles)} a={len(side_a)} b={len(side_b)}", file=sys.stderr)
+        units = list(read_articles_file(args.infile))
+        sides = split_articles(units, cfg)
+
+        def render(art):
+            return "\n".join(art) + "\n\n"
     else:
         # Lines are keyed by the file's base name, so `a.txt` and `./a.txt` split alike.
         with open(args.infile, "rb") as f:
-            records = list(read_plain_corpus(f, Path(args.infile).name))
-        side_a, side_b = split_corpus(records, cfg)
-        for path, side in ((args.out_a, side_a), (args.out_b, side_b)):
-            with _open_out(path) as out:
-                for rec in side:
-                    out.write(rec.text + "\n")
-        print(f"units={len(records)} a={len(side_a)} b={len(side_b)}", file=sys.stderr)
+            units = list(read_plain_corpus(f, Path(args.infile).name))
+        sides = split_corpus(units, cfg)
+
+        def render(rec):
+            return rec.text + "\n"
+    for path, side in zip((args.out_a, args.out_b), sides):
+        with _open_out(path) as out:
+            out.writelines(map(render, side))
+    print(f"units={len(units)} a={len(sides[0])} b={len(sides[1])}", file=sys.stderr)
     return 0
 
 
@@ -153,7 +154,7 @@ def cmd_encode(args) -> int:
     model = bpe.load_model(args.merges, args.vocab)
     with open(args.infile, "rb") as f, _open_out(args.out) as out:
         for line in _decoded_lines(f, args.infile):
-            ids = bpe.encode(model, line.rstrip("\r\n"))
+            ids = bpe.encode(model, line)
             out.write(" ".join(map(str, ids)) + "\n")
     return 0
 

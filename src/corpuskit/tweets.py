@@ -3,11 +3,12 @@
 The source data was tokenizer-mangled at publication time: punctuation was
 split off, contractions were spaced out, HTML entities double-escaped, and
 image URLs litter the text. These transforms undo that noise while keeping
-the linguistic content intact: detokenize, decode entities, collapse URLs /
-@-mentions / #-hashtags into single placeholder tokens, and rejoin spaced
-apostrophes and hyphens. Every stage is idempotent, and the composed
-preprocess_tweet applies them in the one order that works (detokenization
-and entity decoding must run before token-pattern matching).
+the linguistic content intact: detokenize, decode entities, collapse URLs,
+@-mentions and #-hashtags into placeholder tokens in one pass over the
+tokens, and rejoin spaced apostrophes and hyphens. Every stage is
+idempotent, and the composed preprocess_tweet applies them in the one order
+that works (detokenization and entity decoding must run before
+token-pattern matching).
 """
 
 from __future__ import annotations
@@ -53,32 +54,19 @@ def moses_detokenize(text: str) -> str:
     return "".join(out)
 
 
-def collapse_links(text: str) -> str:
-    """Replace every URL-shaped token (http/https scheme or www. prefix)."""
+def collapse_tokens(text: str) -> str:
+    """Replace each URL-shaped token (http/https scheme or www. prefix) with
+    [LINK], then each other @- or #-prefixed token with [MENTION] or
+    [HASHTAG], in one pass over the whitespace tokens. A bare @ or # is
+    ordinary text."""
     tokens = [
-        LINK_TOKEN
-        if t.lower().startswith(("http://", "https://", "www."))
+        LINK_TOKEN if t.lower().startswith(("http://", "https://", "www."))
+        else MENTION_TOKEN if t[0] == "@" and len(t) > 1
+        else HASHTAG_TOKEN if t[0] == "#" and len(t) > 1
         else t
         for t in text.split()
     ]
     return " ".join(tokens)
-
-
-def _collapse_prefixed(text: str, prefix: str, replacement: str) -> str:
-    # "greater than length 1": a bare @ or # is ordinary text
-    tokens = [
-        replacement if t.startswith(prefix) and len(t) > 1 else t
-        for t in text.split()
-    ]
-    return " ".join(tokens)
-
-
-def collapse_mentions(text: str) -> str:
-    return _collapse_prefixed(text, "@", MENTION_TOKEN)
-
-
-def collapse_hashtags(text: str) -> str:
-    return _collapse_prefixed(text, "#", HASHTAG_TOKEN)
 
 
 _SPACED_APOSTROPHE = re.compile(r"(?<=\w) (?=['’]\w)")
@@ -107,10 +95,8 @@ def decode_html_entities(text: str) -> str:
 
 def preprocess_tweet(text: str) -> str:
     """Full cleanup pipeline in fixed order: detokenize, decode entities,
-    collapse links, mentions, hashtags, then renormalize spacing."""
+    collapse links, mentions and hashtags, then renormalize spacing."""
     text = moses_detokenize(text)
     text = decode_html_entities(text)
-    text = collapse_links(text)
-    text = collapse_mentions(text)
-    text = collapse_hashtags(text)
+    text = collapse_tokens(text)
     return renormalize_spacing(text)

@@ -2,7 +2,7 @@
 
 Every expected value here was derived by hand from the documented filter
 definitions (counts and ratios are spelled out next to each row) or, for
-the tweet cases, by hand-applying the six cleanup stages in order.
+the tweet cases, by hand-applying the four cleanup stages in order.
 """
 
 from __future__ import annotations

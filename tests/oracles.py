@@ -255,7 +255,8 @@ def rank_ordered_segment(word: str, merges: list[tuple[str, str]], alphabet=None
 # --- tweets -----------------------------------------------------------------
 # The per-character detokenizer and the per-call entity regex the library
 # used before it stripped tokens against character sets and compiled each
-# entity pattern once.
+# entity pattern once, and the three collapse passes (links, then mentions,
+# then hashtags) it used before collapsing all three in one pass.
 
 def reference_moses_detokenize(text: str) -> str:
     out = ""
@@ -277,3 +278,14 @@ def reference_decode_html_entities(text: str, entity_map) -> str:
         return text
     pattern = re.compile("|".join(re.escape(k) for k in sorted(entity_map, key=len, reverse=True)))
     return pattern.sub(lambda m: entity_map[m.group(0)], text)
+
+
+def _collapse_prefixed(text: str, prefix: str, replacement: str) -> str:
+    return " ".join(replacement if t.startswith(prefix) and len(t) > 1 else t for t in text.split())
+
+
+def reference_collapse_tokens(text: str) -> str:
+    text = " ".join("[LINK]" if t.lower().startswith(("http://", "https://", "www.")) else t
+                    for t in text.split())
+    text = _collapse_prefixed(text, "@", "[MENTION]")
+    return _collapse_prefixed(text, "#", "[HASHTAG]")

@@ -248,8 +248,9 @@ def test_word_spelling_a_word_final_symbol_is_trained():
 def test_single_character_special_is_unknown_inside_a_word_in_training():
     # As encode sees it, "xa" is <unk> a</w> when "x" is a special token, so
     # training learns merges of <unk>, never one with "x" that encode cannot apply.
-    model = learn_bpe(["xa xa xa xb ab"], TokenizerConfig(vocab_size=9, special_tokens=("<unk>", "x")))
+    model = learn_bpe(["xa xa xa xb ab"], TokenizerConfig(vocab_size=8, special_tokens=("<unk>", "x")))
     assert model.merges == [("<unk>", "a</w>"), ("<unk>", "b</w>")]
+    assert "x</w>" not in model.vocab
     assert encode(model, "xa xb x") == [model.vocab["<unk>a</w>"], model.vocab["<unk>b</w>"], model.vocab["x"]]
 
 

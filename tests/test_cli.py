@@ -272,7 +272,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", text_in, "--out", tmp_path / "a.txt") == 0
     env = dict(os.environ, PYTHONPATH=str(Path(corpuskit.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "corpuskit", "encode", "--merges", merges, "--vocab", vocab,
-                           "--in", text_in, "--out", tmp_path / "b.txt"], env=env, capture_output=True, text=True)
+                           "--in", text_in, "--out", tmp_path / "b.txt"], env=env, capture_output=True, text=True,
+                          encoding="utf-8")
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
 

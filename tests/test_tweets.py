@@ -1,9 +1,7 @@
 import pytest
 
 from corpuskit.tweets import (
-    collapse_hashtags,
-    collapse_links,
-    collapse_mentions,
+    collapse_tokens,
     decode_html_entities,
     moses_detokenize,
     preprocess_tweet,
@@ -31,28 +29,25 @@ def test_detokenize_idempotent():
         assert moses_detokenize(once) == once
 
 
-def test_collapse_links_cases():
-    assert collapse_links("see http://t.co/abc now") == "see [LINK] now"
-    assert collapse_links("no links here") == "no links here"
-    assert collapse_links("www.news.ph reports") == "[LINK] reports"
-
-
-def test_collapse_mentions_cases():
-    assert collapse_mentions("@user hello") == "[MENTION] hello"
-    assert collapse_mentions("@ hello") == "@ hello"
-    assert collapse_mentions("mail me a@b") == "mail me a@b"
-
-
-def test_collapse_hashtags_cases():
-    assert collapse_hashtags("#dengue alert") == "[HASHTAG] alert"
-    assert collapse_hashtags("# alone") == "# alone"
-    assert collapse_hashtags("item #2") == "item [HASHTAG]"
+@pytest.mark.parametrize("cases", [
+    [("see http://t.co/abc now", "see [LINK] now"),
+     ("no links here", "no links here"),
+     ("www.news.ph reports", "[LINK] reports")],
+    [("@user hello", "[MENTION] hello"),
+     ("@ hello", "@ hello"),
+     ("mail me a@b", "mail me a@b")],
+    [("#dengue alert", "[HASHTAG] alert"),
+     ("# alone", "# alone"),
+     ("item #2", "item [HASHTAG]")],
+], ids=["links", "mentions", "hashtags"])
+def test_collapse_tokens_cases(cases):
+    for raw, expected in cases:
+        assert collapse_tokens(raw) == expected
 
 
 def test_collapse_preserves_token_count():
     for raw, _ in TWEET_CASES:
-        for fn in (collapse_links, collapse_mentions, collapse_hashtags):
-            assert len(fn(raw).split()) == len(raw.split()), (fn.__name__, raw)
+        assert len(collapse_tokens(raw).split()) == len(raw.split()), raw
 
 
 def test_renormalize_spacing_cases():
@@ -84,9 +79,7 @@ def test_each_stage_idempotent_on_fixture():
     stages = [
         moses_detokenize,
         decode_html_entities,
-        collapse_links,
-        collapse_mentions,
-        collapse_hashtags,
+        collapse_tokens,
         renormalize_spacing,
     ]
     for raw, _ in TWEET_CASES:
