@@ -176,28 +176,35 @@ class _PairIndex:
     table, grown by interning each merge output by string, so an output equal
     to an existing symbol gets that symbol's id; ``symbols`` maps an id back
     to its string. ``counts[p]`` is the frequency-weighted number of
-    occurrences of the id pair p and holds only pairs that occur. ``where[p]`` is a superset of the indices of the words
-    that contain p, with exactly the keys of ``counts``: a merge adds a word
-    to the pairs it creates there and never removes one, and a pair whose
-    count reaches 0 leaves both. Heap entries are (-count, left, right) with
-    string symbols, so the smallest entry is the most frequent pair with ties
-    to the lexicographically smallest string pair. An entry is stale when its
-    count no longer matches ``counts``; stale entries are dropped when they
-    reach the top. Each merge changes only the pairs next to its merge sites,
-    sums those changes over all touched words first and pushes one entry per
-    pair whose count moved.
+    occurrences of the id pair p and holds only pairs that occur. ``where[p]``
+    lists the indices of the words that contain p, with exactly the keys of
+    ``counts``. It is a superset: a merge appends a word to the pairs it
+    creates and never removes one, and a pair whose count reaches 0 leaves
+    both. A word is appended unless it is already the list's last entry,
+    which drops repeats within one word; a word may still be listed twice,
+    and its second visit finds no occurrence, because a merge output is
+    longer than either operand and so never re-creates the pair it consumes.
+    Heap entries are (-count, left, right) with string symbols, so the
+    smallest entry is the most frequent pair with ties to the
+    lexicographically smallest string pair. An entry is stale when its count
+    no longer matches ``counts``; stale entries are dropped when they reach
+    the top. Each merge changes only the pairs next to its merge sites, sums
+    those changes over all touched words first and pushes one entry per pair
+    whose count moved.
     """
 
     def __init__(self, words: list[list[int]], freqs: list[int], ids: dict[str, int]):
         self.words, self.freqs, self.ids = words, freqs, ids
         self.symbols = symbols = list(ids)
         counts: dict[tuple[int, int], int] = {}
-        where: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+        where: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
         get = counts.get
         for idx, (w, n) in enumerate(zip(words, freqs)):
             for pair in zip(w, w[1:]):
                 counts[pair] = get(pair, 0) + n
-                where[pair].add(idx)
+                listed = where[pair]
+                if not listed or listed[-1] != idx:
+                    listed.append(idx)
         self.counts, self.where = counts, where
         self.heap = [(-count, symbols[a], symbols[b]) for (a, b), count in counts.items()]
         heapq.heapify(self.heap)
@@ -235,12 +242,16 @@ class _PairIndex:
                             prev = w[i - 1]
                             delta[prev, a] -= n
                             delta[prev, new] += n
-                            where[prev, new].add(idx)
+                            listed = where[prev, new]
+                            if not listed or listed[-1] != idx:
+                                listed.append(idx)
                         if i + 2 < len(w):
                             nxt = w[i + 2]
                             delta[b, nxt] -= n
                             delta[new, nxt] += n
-                            where[new, nxt].add(idx)
+                            listed = where[new, nxt]
+                            if not listed or listed[-1] != idx:
+                                listed.append(idx)
                         w[i:i + 2] = [new]
                     i = w.index(a, i + 1)
             except ValueError:
@@ -290,6 +301,7 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
         if word not in special_set:  # a literal special token stays atomic in training too
             words.append(_first_ids(word, first))
             freqs.append(n)
+    del word_counts  # the id words replace the counter and its strings for all merges
 
     index = _PairIndex(words, freqs, first)
     merges: list[tuple[str, str]] = []

@@ -361,11 +361,11 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
         tmp_dir = Path(tmp)
         kept = _ingest_filter_dedup(cfg, tmp_dir, stats)
         _write_lines(tmp_dir / "corpus.txt", kept)
-        bpe_corpus = kept
         if cfg.split_cfg is not None:
-            bpe_corpus = _split(cfg, kept, tmp_dir, stats)
+            # Rebinding frees the side-B records before training, which reads side A only.
+            kept = _split(cfg, kept, tmp_dir, stats)
         if cfg.tokenizer_cfg is not None:
-            _train_bpe(cfg, bpe_corpus, tmp_dir, stats)
+            _train_bpe(cfg, kept, tmp_dir, stats)
 
         jsonl, table = report_stats(stats)
         (tmp_dir / "stats.jsonl").write_text(jsonl, encoding="utf-8")

@@ -128,18 +128,21 @@ def _pair_index(words: Counter) -> _PairIndex:
     return _PairIndex(int_words, list(words.values()), ids)
 
 
-def _merge_to_exhaustion_against_recount(index: _PairIndex, label) -> None:
+def _merge_to_exhaustion_against_recount(index: _PairIndex, label, relist: bool = False) -> None:
     for step in range(200):
         pair = index.best_pair()
         if pair is None:
             break
+        if relist:  # every word twice in every list: the merged pair's and those the merge appends to
+            for listed in index.where.values():
+                listed[:] = [*dict.fromkeys(listed)] * 2
         index.apply_merge(pair)
         counts, where = _recount(index.words, index.freqs)
         # dict(): Counter equality ignores zero entries, the index must hold none
         assert dict(index.counts) == dict(counts), (label, step)
         # where[p] may keep a word that lost p, but holds every word with p
         assert index.where.keys() == where.keys(), (label, step)
-        assert all(index.where[p] >= members for p, members in where.items()), (label, step)
+        assert all(set(index.where[p]) >= members for p, members in where.items()), (label, step)
         live, sym = set(index.heap), index.symbols
         assert all((-c, sym[a], sym[b]) in live for (a, b), c in counts.items()), (label, step)
     assert not index.counts and not index.where, label
@@ -155,6 +158,22 @@ def test_pair_index_matches_recount_after_every_merge():
     # and consumes it at the second: its count nets to 0 and it must leave
     # where. (In abababab alone the last symbol is b</w>, so only three ab form.)
     _merge_to_exhaustion_against_recount(_pair_index(Counter({"ababababa": 3})), "ababababa")
+
+
+def test_pair_index_matches_recount_with_words_listed_twice():
+    rng = random.Random(9)
+    for trial in range(8):
+        words = _run_words(rng) if trial % 2 else Counter(
+            "".join(rng.choice("abc") for _ in range(rng.randrange(1, 9))) for _ in range(50))
+        _merge_to_exhaustion_against_recount(_pair_index(words), trial, relist=True)
+    # A merge lists a word twice by itself when its output is an existing
+    # symbol: (a, b) outputs ab, so in "x ab x a b" it makes (x, ab) again,
+    # whose list already holds the word, but not as its last entry.
+    index = _PairIndex([[3, 2, 3, 0, 1], [3, 2]], [1, 1], {"a": 0, "b": 1, "ab": 2, "x": 3})
+    index.apply_merge(("a", "b"))
+    assert index.where[3, 2] == [0, 1, 0]
+    assert index.counts[3, 2] == 3
+    _merge_to_exhaustion_against_recount(index, "x ab x a b")
 
 
 def test_reference_agreement_on_repeated_symbol_runs():
