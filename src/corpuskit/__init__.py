@@ -10,7 +10,6 @@ from .bpe import (
     BpeModel,
     TokenizerConfig,
     add_special_tokens,
-    build_alphabet,
     decode,
     encode,
     learn_bpe,
@@ -23,10 +22,8 @@ from .core import (
     FilterVerdict,
     RejectReason,
     SentenceRecord,
-    normalize_line,
-    tokenize_ws,
 )
-from .dedup import dedup_files, dedup_key, dedup_lines, dedup_stream
+from .dedup import dedup_files, dedup_key, dedup_lines
 from .filters import (
     FilterConfig,
     apply_filters,

@@ -144,6 +144,8 @@ def _first_ids(word: str, first: dict[str, int]) -> list[int]:
 
 
 def _coverage_alphabet(chars: dict[str, int], coverage: float) -> list[str]:
+    """Characters by descending corpus frequency (ties by codepoint), cut to
+    the smallest prefix covering the requested share of character occurrences."""
     if not chars:
         raise ValueError("cannot build an alphabet from an empty corpus")
     ranked = sorted(chars.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -159,14 +161,6 @@ def _coverage_alphabet(chars: dict[str, int], coverage: float) -> list[str]:
         kept.append(ch)
         cum += n
     return kept
-
-
-def build_alphabet(texts: Iterable[str], coverage: float = 1.0) -> list[str]:
-    """Characters by descending corpus frequency (ties by codepoint), cut to
-    the smallest prefix covering the requested share of character occurrences."""
-    if not 0.0 < coverage <= 1.0:
-        raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    return _coverage_alphabet(_count(texts)[1], coverage)
 
 
 class _PairIndex:

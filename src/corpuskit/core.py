@@ -1,10 +1,13 @@
-"""Shared text model: sentence records, whitespace tokenization, line normalization.
+"""Shared text model: sentence records, errors and filter verdicts.
 
-One "line" is one sentence. A token is a maximal run of non-whitespace
-characters under the Unicode definition of whitespace; this is the unit every
-downstream length/ratio heuristic counts. No Unicode normalization (NFC/NFD)
-is ever applied: the tokenizer downstream is cased with full character
-coverage, so altering codepoints would change its alphabet.
+One "line" is one sentence: a physical line of the input with its
+terminator and surrounding whitespace stripped (``str.strip()``) and every
+interior codepoint kept exactly. A token is a maximal run of non-whitespace
+characters under the Unicode definition of whitespace (``str.split()``);
+this is the unit every downstream length/ratio heuristic counts. No Unicode
+normalization (NFC/NFD) is ever applied: the tokenizer downstream is cased
+with full character coverage, so altering codepoints would change its
+alphabet.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class SentenceRecord:
 
     def __post_init__(self):
         if "\n" in self.text or "\r" in self.text:
-            raise ValueError(f"record text contains a line terminator: {self.text!r}")
+            raise ValueError(f"{self.source_id}:{self.line_no}: record text contains a line terminator: "
+                             f"{self.text!r}")
         if self.line_no < 1:
             raise ValueError(f"line_no must be >= 1, got {self.line_no}")
 
@@ -68,32 +72,8 @@ class FilterVerdict:
         if self.passed != (self.reason is RejectReason.NONE):
             raise ValueError(f"inconsistent verdict: passed={self.passed}, reason={self.reason}")
 
-    @classmethod
-    def ok(cls) -> "FilterVerdict":
-        return cls(True, RejectReason.NONE)
 
-    @classmethod
-    def reject(cls, reason: RejectReason) -> "FilterVerdict":
-        if reason is RejectReason.NONE:
-            raise ValueError("a rejection needs a real reason")
-        return cls(False, reason)
-
-
-PASS = FilterVerdict.ok()
-
-
-def tokenize_ws(text: str) -> list[str]:
-    """Split on maximal runs of Unicode whitespace. Tokens are never empty."""
-    return text.split()
-
-
-def normalize_line(raw: str) -> str:
-    """Strip the trailing terminator and surrounding whitespace, nothing else.
-
-    Idempotent; preserves every interior codepoint exactly (no case folding,
-    no NFC/NFD).
-    """
-    return raw.strip()
+PASS = FilterVerdict(True, RejectReason.NONE)
 
 
 def decode_line(raw: bytes, source_id: str, line_no: int) -> str:

@@ -1,12 +1,13 @@
 """Exact line deduplication, keep-first, at two scales.
 
-dedup_stream keeps a 128-bit digest per distinct line in memory: fine up to
+dedup_key is a line's identity: a 128-bit digest of the exact bytes of the
+normalized line, with no case folding and no interior whitespace
+collapsing, so cased variants stay distinct. The build keeps one such digest
+per distinct line in memory, and so does dedup_lines for files: fine up to
 hundreds of millions of lines on a workstation. dedup_files is a two-pass
 external-sort variant for inputs whose key set does not fit: pass one spills
 sorted (digest, index) runs to disk and merges them to find each digest's
 first occurrence, pass two re-reads the input and emits the survivors.
-Identity is the exact bytes of the normalized line: no case folding, no
-interior whitespace collapsing, so cased variants stay distinct.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import heapq
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .core import SentenceRecord, decode_line, normalize_line
+from .core import decode_line
 
 DIGEST_BYTES = 16  # 128 bits; collision odds are negligible at web-corpus scale
 
@@ -26,17 +27,6 @@ DIGEST_BYTES = 16  # 128 bits; collision odds are negligible at web-corpus scale
 def dedup_key(text: str) -> bytes:
     """128-bit content digest of the normalized line. Equal text, equal key."""
     return hashlib.blake2b(text.encode("utf-8"), digest_size=DIGEST_BYTES).digest()
-
-
-def dedup_stream(records: Iterable[SentenceRecord]) -> Iterator[SentenceRecord]:
-    """Yield the first occurrence of each distinct text, in input order."""
-    seen: set[bytes] = set()
-    for rec in records:
-        key = dedup_key(rec.text)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield rec
 
 
 @dataclass
@@ -57,7 +47,7 @@ def _iter_file_lines(paths: list[Path]) -> Iterator[str]:
     for path in paths:
         with open(path, "rb") as f:
             for line_no, raw in enumerate(f, start=1):
-                yield normalize_line(decode_line(raw, str(path), line_no))
+                yield decode_line(raw, str(path), line_no).strip()
 
 
 def dedup_lines(paths: list[Path | str], out_path: Path | str) -> DedupSummary:

@@ -8,13 +8,12 @@ only the first rejection reason is recorded by apply_filters.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import re
 import unicodedata
 from dataclasses import dataclass
 
-from .core import PASS, FilterVerdict, RejectReason, tokenize_ws
+from .core import PASS, FilterVerdict, RejectReason
 
 DEFAULT_HTML_PATTERNS = (
     "http://",
@@ -82,17 +81,6 @@ _LATIN_RANGES = (
     (0xFB00, 0xFB06), (0xFF21, 0xFF3A), (0xFF41, 0xFF5A),
     (0x10780, 0x107BA), (0x1DF00, 0x1DF2A),
 )
-_LATIN_STARTS = [lo for lo, _ in _LATIN_RANGES]
-_LATIN_ENDS = [hi for _, hi in _LATIN_RANGES]
-
-
-def is_latin(ch: str) -> bool:
-    """True if the codepoint belongs to the Latin script (accented letters included)."""
-    cp = ord(ch)
-    if cp < 0x80:  # fast path, the vast bulk of Latin-script text
-        return 0x41 <= cp <= 0x5A or 0x61 <= cp <= 0x7A
-    i = bisect.bisect_right(_LATIN_STARTS, cp) - 1
-    return i >= 0 and cp <= _LATIN_ENDS[i]
 
 
 # ASCII punctuation per the Unicode general category P, derived rather than
@@ -110,11 +98,11 @@ def is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-_REJECT_NON_LATIN = FilterVerdict.reject(RejectReason.NON_LATIN)
-_REJECT_LENGTH = FilterVerdict.reject(RejectReason.LENGTH)
-_REJECT_PUNCT_RUN = FilterVerdict.reject(RejectReason.PUNCT_RUN)
-_REJECT_AVG_WORD_LEN = FilterVerdict.reject(RejectReason.AVG_WORD_LEN)
-_REJECT_HTML = FilterVerdict.reject(RejectReason.HTML)
+_REJECT_NON_LATIN = FilterVerdict(False, RejectReason.NON_LATIN)
+_REJECT_LENGTH = FilterVerdict(False, RejectReason.LENGTH)
+_REJECT_PUNCT_RUN = FilterVerdict(False, RejectReason.PUNCT_RUN)
+_REJECT_AVG_WORD_LEN = FilterVerdict(False, RejectReason.AVG_WORD_LEN)
+_REJECT_HTML = FilterVerdict(False, RejectReason.HTML)
 
 
 @functools.cache
@@ -145,7 +133,7 @@ def filter_non_latin(text: str, cfg: FilterConfig) -> FilterVerdict:
 
 
 def filter_length(text: str, cfg: FilterConfig) -> FilterVerdict:
-    n = len(tokenize_ws(text))
+    n = len(text.split())
     if cfg.min_tokens <= n <= cfg.max_tokens:
         return PASS
     return _REJECT_LENGTH
@@ -191,7 +179,7 @@ def filter_avg_word_len(text: str, cfg: FilterConfig) -> FilterVerdict:
     """Keep sentences whose mean token length (in codepoints, punctuation
     included) falls inside [awl_min, awl_max]. Zero tokens pass; the length
     filter owns empty lines."""
-    tokens = tokenize_ws(text)
+    tokens = text.split()
     if not tokens:
         return PASS
     ratio = sum(map(len, tokens)) / len(tokens)
@@ -216,7 +204,7 @@ def filter_html(text: str, cfg: FilterConfig) -> FilterVerdict:
     low = text.lower()
     if not any(p in low for p in patterns):
         return PASS
-    for token in tokenize_ws(text):
+    for token in text.split():
         low = token.lower()
         for p in patterns:
             if p in low:

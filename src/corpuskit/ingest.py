@@ -16,7 +16,7 @@ from itertools import groupby, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import SentenceRecord, decode_line, normalize_line
+from .core import SentenceRecord, decode_line
 
 
 # Counter keys the readers skip lines under, with their names in the build report.
@@ -30,10 +30,12 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class BitextRecord:
-    """One aligned sentence pair from a bilingual corpus."""
+    """One aligned sentence pair from a bilingual corpus; line_no is the
+    pair's 1-based physical line in its file (in both files when paired)."""
 
     source_text: str
     target_text: str
+    line_no: int
 
 
 def _decoded(line: str | bytes, source_id: str, line_no: int) -> str:
@@ -41,7 +43,7 @@ def _decoded(line: str | bytes, source_id: str, line_no: int) -> str:
 
 
 def _as_text(line: str | bytes, source_id: str, line_no: int) -> str:
-    return normalize_line(_decoded(line, source_id, line_no))
+    return _decoded(line, source_id, line_no).strip()
 
 
 def read_plain_corpus(
@@ -72,14 +74,14 @@ def read_tsv_bitext(
     for line_no, raw in enumerate(lines, start=1):
         line = _decoded(raw, source_id, line_no)
         counts["lines"] += 1
-        if not normalize_line(line):
+        if not line.strip():
             counts["empty"] += 1
             continue
         left, sep, right = line.partition("\t")
         if not sep:
             counts["malformed"] += 1
             continue
-        yield BitextRecord(normalize_line(left), normalize_line(right))
+        yield BitextRecord(left.strip(), right.strip(), line_no)
 
 
 def read_paired_bitext(
@@ -98,6 +100,7 @@ def read_paired_bitext(
         yield BitextRecord(
             _as_text(src, source_id, line_no),
             _as_text(tgt, source_id, line_no),
+            line_no,
         )
 
 
@@ -107,15 +110,16 @@ def extract_bitext_side(
     source_id: str,
     counts: Counter | None = None,
 ) -> Iterator[SentenceRecord]:
-    """Keep one language side, in order. Pairs with an empty chosen side are
-    skipped and counted; duplicates are left for the dedup stage."""
+    """Keep one language side, in order, each record numbered by its pair's
+    physical line. Pairs with an empty chosen side are skipped and counted;
+    duplicates are left for the dedup stage."""
     counts = Counter() if counts is None else counts
-    for idx, rec in enumerate(records, start=1):
+    for rec in records:
         text = rec.source_text if side is Side.SOURCE else rec.target_text
         if not text:
             counts["empty_side"] += 1
             continue
-        yield SentenceRecord(text, source_id, idx)
+        yield SentenceRecord(text, source_id, rec.line_no)
 
 
 def read_articles(

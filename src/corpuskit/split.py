@@ -132,9 +132,8 @@ def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
     return {key for key, h in zip(keys, hashes) if h < cut or (h == cut and key in at_cut)}
 
 
-def record_unit_key(rec: SentenceRecord, unit: SplitUnit) -> str:
-    if unit is SplitUnit.DOCUMENT:
-        return rec.source_id
+def _line_key(rec: SentenceRecord) -> str:
+    """A record's unit key under unit=LINE: its source and physical line."""
     return f"{rec.source_id}{_KEY_SEP}{rec.line_no}"
 
 
@@ -161,8 +160,7 @@ def split_corpus(
         # Rank each source once; its records follow it.
         side_a = assign_split(dict.fromkeys(r.source_id for r in records), cfg)
         return [r for r in records if r.source_id in side_a], [r for r in records if r.source_id not in side_a]
-    return _partition(records, (f"{r.source_id}{_KEY_SEP}{r.line_no}" for r in records),
-                      lambda i: record_unit_key(records[i], SplitUnit.LINE), cfg)
+    return _partition(records, map(_line_key, records), lambda i: _line_key(records[i]), cfg)
 
 
 def split_articles(

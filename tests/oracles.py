@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_right
 from collections import Counter
 
-from corpuskit.filters import is_latin, is_punct
-from corpuskit.split import record_unit_key, seeded_hash64, split_quota
+from corpuskit.filters import _LATIN_RANGES, is_punct
+from corpuskit.split import SplitUnit, seeded_hash64, split_quota
 
 WORD_END = "</w>"
 
@@ -77,8 +78,18 @@ def first_reject_reason(text: str, cfg) -> str:
 
 # --- reference filter bodies -----------------------------------------------
 # The per-character and per-token filter bodies the library used before its
-# whole-line fast paths, on the library's own predicates: the fast filters
-# must agree with these exactly, verdict for verdict.
+# whole-line fast paths, on the library's own predicates and Latin range
+# table: the fast filters must agree with these exactly, verdict for verdict.
+
+_LATIN_STARTS = [lo for lo, _ in _LATIN_RANGES]
+
+
+def reference_is_latin(ch: str) -> bool:
+    """True if the codepoint falls in one of the library's Latin ranges."""
+    cp = ord(ch)
+    i = bisect_right(_LATIN_STARTS, cp) - 1
+    return i >= 0 and cp <= _LATIN_RANGES[i][1]
+
 
 def reference_non_latin(text: str, cfg) -> bool:
     visible = 0
@@ -87,7 +98,7 @@ def reference_non_latin(text: str, cfg) -> bool:
         if ch.isspace():
             continue
         visible += 1
-        if ch.isalpha() and not is_latin(ch):
+        if ch.isalpha() and not reference_is_latin(ch):
             foreign += 1
     return not (visible > 0 and foreign / visible > cfg.nonlatin_max_ratio)
 
@@ -172,7 +183,12 @@ def reference_partition(items, keys, cfg, hash64=seeded_hash64) -> tuple[list, l
 
 
 def reference_split_corpus(records, cfg, hash64=seeded_hash64) -> tuple[list, list]:
-    return reference_partition(records, [record_unit_key(r, cfg.unit) for r in records], cfg, hash64)
+    """A document is its source; a line is its source and physical line."""
+    if cfg.unit is SplitUnit.DOCUMENT:
+        keys = [r.source_id for r in records]
+    else:
+        keys = [f"{r.source_id}\x1f{r.line_no}" for r in records]
+    return reference_partition(records, keys, cfg, hash64)
 
 
 def reference_split_articles(articles, cfg, hash64=seeded_hash64) -> tuple[list, list]:

@@ -8,7 +8,7 @@ import time
 
 from corpuskit import bpe, cli
 from corpuskit.core import SentenceRecord
-from corpuskit.dedup import dedup_files, dedup_key, dedup_lines, dedup_stream
+from corpuskit.dedup import dedup_files, dedup_key, dedup_lines
 from corpuskit.filters import (
     FilterConfig,
     apply_filters,
@@ -85,15 +85,13 @@ def test_acceptance_2_dedup_correctness(tmp_path):
     texts = _dedup_input()
     t0 = time.perf_counter()
 
-    records = [SentenceRecord(t, "rand", i + 1) for i, t in enumerate(texts)]
-    streamed = list(dedup_stream(records))
-    assert [r.text for r in streamed] == oracles.dedup_keep_first(texts)
-    assert list(dedup_stream(streamed)) == streamed  # idempotent
-
     src = tmp_path / "rand.txt"
     src.write_text("\n".join(texts) + "\n", encoding="utf-8")
-    mem_out, ext_out = tmp_path / "mem.txt", tmp_path / "ext.txt"
+    mem_out, ext_out, again = tmp_path / "mem.txt", tmp_path / "ext.txt", tmp_path / "again.txt"
     dedup_lines([src], mem_out)
+    assert mem_out.read_text(encoding="utf-8").splitlines() == oracles.dedup_keep_first(texts)
+    dedup_lines([mem_out], again)
+    assert again.read_bytes() == mem_out.read_bytes()  # idempotent
     dedup_files([src], ext_out, tmp_dir=tmp_path, chunk_lines=1000)
     assert ext_out.read_bytes() == mem_out.read_bytes()
 
@@ -223,12 +221,10 @@ def test_acceptance_6_split_determinism_and_disjointness():
     key = lambda rs: {(r.source_id, r.line_no, r.text) for r in rs}
     assert key(a_sh) == key(a_ref) and key(b_sh) == key(b_ref)
 
-    # per-side dedup, then no key on both sides
+    # no dedup key on both sides
     side_a, side_b = first
-    keys_a = {dedup_key(r.text) for r in dedup_stream(
-        SentenceRecord(s, f"a{i}", k + 1) for i, art in enumerate(side_a) for k, s in enumerate(art))}
-    keys_b = {dedup_key(r.text) for r in dedup_stream(
-        SentenceRecord(s, f"b{i}", k + 1) for i, art in enumerate(side_b) for k, s in enumerate(art))}
+    keys_a = {dedup_key(s) for art in side_a for s in art}
+    keys_b = {dedup_key(s) for art in side_b for s in art}
     assert not keys_a & keys_b
 
     elapsed = time.perf_counter() - t0

@@ -11,7 +11,6 @@ from corpuskit.bpe import (
     TokenizerConfig,
     _PairIndex,
     add_special_tokens,
-    build_alphabet,
     decode,
     encode,
     learn_bpe,
@@ -37,30 +36,45 @@ def toy_model(n_merges: int = 10) -> BpeModel:
 
 
 # --- alphabet ----------------------------------------------------------------
+# learn_bpe at the smallest vocabulary for n characters learns no merge, so
+# its vocabulary is the specials, then the alphabet in id order, then each
+# character's word-final form in the same order.
+
+def _alphabet_vocab(lines, n_chars, coverage=1.0) -> list[str]:
+    cfg = TokenizerConfig(vocab_size=len(DEFAULT_SPECIALS) + 2 * n_chars, character_coverage=coverage)
+    model = learn_bpe(lines, cfg)
+    assert model.merges == []
+    return sorted(model.vocab, key=model.vocab.__getitem__)[len(DEFAULT_SPECIALS):]
+
 
 def test_alphabet_full_coverage():
-    assert set(build_alphabet(["aab"], 1.0)) == {"a", "b"}
+    assert _alphabet_vocab(["aab"], 2) == ["a", "b", "a</w>", "b</w>"]
 
 
 def test_alphabet_orders_by_frequency_then_codepoint():
     # b:3 a:3 c:1 -> ties a<b by codepoint
-    assert build_alphabet(["ab ab ab c"], 1.0) == ["a", "b", "c"]
+    assert _alphabet_vocab(["ab ab ab c"], 3) == ["a", "b", "c", "a</w>", "b</w>", "c</w>"]
+    # c:4 b:2 a:1 -> frequency before codepoint
+    assert _alphabet_vocab(["cccc bb a"], 3) == ["c", "b", "a", "c</w>", "b</w>", "a</w>"]
 
 
 def test_alphabet_coverage_cut():
     # counts a:90 b:9 c:1; 0.99 is reached before c
     corpus = ["a" * 90 + " " + "b" * 9 + " c"]
-    assert build_alphabet(corpus, 0.99) == ["a", "b"]
-    assert build_alphabet(corpus, 1.0) == ["a", "b", "c"]
+    assert _alphabet_vocab(corpus, 2, 0.99) == ["a", "b", "a</w>", "b</w>"]
+    assert _alphabet_vocab(corpus, 3, 1.0) == ["a", "b", "c", "a</w>", "b</w>", "c</w>"]
+    with pytest.raises(ValueError, match="vocab_size"):  # c is in the alphabet at full coverage
+        _alphabet_vocab(corpus, 2, 1.0)
 
 
 def test_alphabet_keeps_rare_chars_at_full_coverage():
-    assert "ñ" in build_alphabet(["maganda ñ"], 1.0)
+    assert "ñ" in _alphabet_vocab(["maganda ñ"], 6)
 
 
 def test_alphabet_empty_corpus_errors():
-    with pytest.raises(ValueError):
-        build_alphabet([], 1.0)
+    # lines of whitespace only hold no character, like no lines at all
+    with pytest.raises(ValueError, match="empty"):
+        learn_bpe(["", " \t ", "\u3000"], TokenizerConfig(vocab_size=100))
 
 
 # --- learning ----------------------------------------------------------------

@@ -89,6 +89,15 @@ def test_filter_rejects_bad_config_in_one_line(tmp_path, capsys, doc):
     assert not out.exists() and not rej.exists()
 
 
+def test_filter_names_the_line_of_an_interior_carriage_return(tmp_path, capsys):
+    bad = tmp_path / "cr.txt"
+    bad.write_bytes(b"ok line\nbroken\rline\n")
+    assert run_cli("filter", "--in", bad, "--out", tmp_path / "kept.txt", "--rejects", tmp_path / "rej.tsv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [filter] {bad}:2: record text contains a line terminator")
+    assert len(err.splitlines()) == 1
+
+
 def test_dedup_command_prints_summary(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("a\nb\na\n", encoding="utf-8")

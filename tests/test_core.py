@@ -9,53 +9,77 @@ from corpuskit.core import (
     RejectReason,
     SentenceRecord,
     decode_line,
-    normalize_line,
-    tokenize_ws,
 )
+from corpuskit.filters import FilterConfig, filter_avg_word_len, filter_length
+from corpuskit.ingest import read_plain_corpus
+
+# A token is what str.split() returns and a line is what str.strip() leaves.
+# The filters count the one and the readers yield the other, so both
+# definitions are checked through those entry points.
+
+
+def _token_count(text: str) -> int:
+    """The token count filter_length sees: the one n with min = max = n passing."""
+    counts = [n for n in range(64) if filter_length(text, FilterConfig(min_tokens=n, max_tokens=n)).passed]
+    assert len(counts) == 1, (text, counts)
+    return counts[0]
+
+
+def _line(raw: str | bytes) -> list[str]:
+    """The texts read_plain_corpus yields for one physical line."""
+    return [rec.text for rec in read_plain_corpus([raw], "s")]
 
 
 def test_tokenize_splits_on_whitespace_runs():
-    assert tokenize_ws("a  b\tc") == ["a", "b", "c"]
+    assert _token_count("a  b\tc") == 3
+    # three tokens of one character each: a mean word length of exactly 1
+    assert filter_avg_word_len("a  b\tc", FilterConfig(awl_min=1.0, awl_max=1.0)).passed
 
 
 def test_tokenize_empty():
-    assert tokenize_ws("") == []
+    assert _token_count("") == 0
+    assert _token_count(" \t ") == 0
 
 
 def test_tokenize_keeps_punctuation_tokens():
-    assert tokenize_ws("one-two ///") == ["one-two", "///"]
+    # "one-two ///" is two tokens of 7 and 3 characters: a mean of exactly 5
+    assert _token_count("one-two ///") == 2
+    assert filter_avg_word_len("one-two ///", FilterConfig(awl_min=5.0, awl_max=5.0)).passed
 
 
 def test_tokenize_unicode_whitespace():
-    assert tokenize_ws("a b c") == ["a", "b", "c"]
+    assert _token_count("a\xa0b\u2009c") == 3
 
 
 def test_tokenize_join_roundtrip_is_stable():
     rng = random.Random(123)
-    alphabet = "ab é. \t -ñ"
+    alphabet = "ab é. \t\xa0-ñ"
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
-        toks = tokenize_ws(text)
-        assert all(toks), "no token may be empty"
-        assert tokenize_ws(" ".join(toks)) == toks
+        n = _token_count(text)
+        assert n == len(text.split())
+        assert _token_count(" ".join(text.split())) == n
 
 
 def test_normalize_strips_terminator_and_edges():
-    assert normalize_line("  hello \r\n") == "hello"
+    assert _line("  hello \r\n") == ["hello"]
+    assert _line(b"  hello \r\n") == ["hello"]
 
 
 def test_normalize_idempotent():
-    assert normalize_line("hello") == "hello"
-    for raw in ["  a b  ", "x\n", "\t\tkamusta po\r\n", ""]:
-        once = normalize_line(raw)
-        assert normalize_line(once) == once
+    assert _line("hello") == ["hello"]
+    for raw in ["  a b  ", "x\n", "\t\tkamusta po\r\n"]:
+        (once,) = _line(raw)
+        assert _line(once) == [once]
+    assert _line("") == [] and _line(" \r\n") == []  # a blank line yields no record
 
 
 def test_normalize_preserves_codepoints():
     # no NFC/NFD: a combining sequence stays decomposed
-    decomposed = "café"
-    assert normalize_line(decomposed + "\n") == decomposed
-    assert normalize_line("café\n") == "café"
+    decomposed = "cafe\u0301"
+    assert _line(decomposed + "\n") == [decomposed]
+    assert _line((decomposed + "\n").encode("utf-8")) == [decomposed]
+    assert _line("caf\u00e9\n") == ["caf\u00e9"]
 
 
 def test_decode_line_reports_source_and_line():
@@ -66,10 +90,10 @@ def test_decode_line_reports_source_and_line():
 
 
 def test_record_rejects_line_terminators():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^s:1: "):
         SentenceRecord("a\nb", "s", 1)
-    with pytest.raises(ValueError):
-        SentenceRecord("a\rb", "s", 1)
+    with pytest.raises(ValueError, match="^web:7: record text contains a line terminator"):
+        SentenceRecord("a\rb", "web", 7)
 
 
 def test_record_rejects_bad_line_no():
@@ -94,9 +118,9 @@ def test_record_is_slotted_and_frozen():
 
 
 def test_verdict_consistency_enforced():
-    assert FilterVerdict.ok().passed
-    assert FilterVerdict.reject(RejectReason.HTML).reason is RejectReason.HTML
+    assert FilterVerdict(True, RejectReason.NONE).passed
+    assert FilterVerdict(False, RejectReason.HTML).reason is RejectReason.HTML
     with pytest.raises(ValueError):
         FilterVerdict(True, RejectReason.HTML)
     with pytest.raises(ValueError):
-        FilterVerdict.reject(RejectReason.NONE)
+        FilterVerdict(False, RejectReason.NONE)

@@ -1,13 +1,22 @@
 import random
 
-from corpuskit.core import SentenceRecord
-from corpuskit.dedup import dedup_files, dedup_key, dedup_lines, dedup_stream
+from corpuskit.dedup import dedup_files, dedup_key, dedup_lines
+from corpuskit.pipeline import PipelineConfig, SourceSpec, run_pipeline
 
 import oracles
 
 
-def _records(texts, source="s"):
-    return [SentenceRecord(t, source, i + 1) for i, t in enumerate(texts)]
+def _dedup(tmp_path, *files):
+    """Write each list of texts to its own file, dedup them with dedup_lines
+    in that order, and return the surviving texts."""
+    paths = []
+    for i, texts in enumerate(files):
+        path = tmp_path / f"in{i}.txt"
+        path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        paths.append(path)
+    out = tmp_path / "out.txt"
+    dedup_lines(paths, out)
+    return out.read_text(encoding="utf-8").splitlines()
 
 
 def test_key_deterministic():
@@ -23,37 +32,36 @@ def test_key_width():
     assert len(dedup_key("x")) == 16
 
 
-def test_keep_first_basic():
-    out = list(dedup_stream(_records(["a", "b", "a"])))
-    assert [r.text for r in out] == ["a", "b"]
+def test_keep_first_basic(tmp_path):
+    assert _dedup(tmp_path, ["a", "b", "a"]) == ["a", "b"]
 
 
-def test_all_distinct_unchanged():
-    recs = _records(["x", "y", "z"])
-    assert list(dedup_stream(recs)) == recs
+def test_all_distinct_unchanged(tmp_path):
+    assert _dedup(tmp_path, ["x", "y", "z"]) == ["x", "y", "z"]
 
 
-def test_survivor_provenance_is_first_occurrence():
-    recs = [
-        SentenceRecord("x", "one", 1),
-        SentenceRecord("x", "one", 2),
-        SentenceRecord("x", "two", 1),
-        SentenceRecord("y", "two", 2),
-    ]
-    out = list(dedup_stream(recs))
-    assert [(r.text, r.source_id, r.line_no) for r in out] == [("x", "one", 1), ("y", "two", 2)]
+def test_survivor_provenance_is_first_occurrence(tmp_path):
+    # The build keeps one record per text, the first one read: the survivor
+    # of X is source one's line 1, so the dedup counts credit it to source one.
+    x, y = "alpha beta gamma delta", "epsilon zeta eta theta"
+    one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+    one.write_text(f"{x}\n{x}\n", encoding="utf-8")
+    two.write_text(f"{x}\n{y}\n", encoding="utf-8")
+    cfg = PipelineConfig(sources=[SourceSpec("one", one), SourceSpec("two", two)], output_dir=tmp_path / "out")
+    stats = run_pipeline(cfg, log=None)
+    dedup = [(s.source_id, s.lines_out, s.duplicates_dropped) for s in stats.stages if s.stage == "dedup"]
+    assert dedup == [("one", 1, 1), ("two", 1, 1)]
+    assert (tmp_path / "out" / "corpus.txt").read_text(encoding="utf-8") == f"{x}\n{y}\n"
 
 
-def test_idempotent():
-    recs = _records(["a", "b", "a", "c", "b"])
-    once = list(dedup_stream(recs))
-    assert list(dedup_stream(once)) == once
+def test_idempotent(tmp_path):
+    once = _dedup(tmp_path, ["a", "b", "a", "c", "b"])
+    assert _dedup(tmp_path, once) == once
 
 
-def test_concatenated_corpus_equals_single_copy():
-    recs = _records(["p", "q", "r", "p"])
-    double = recs + recs
-    assert [r.text for r in dedup_stream(double)] == [r.text for r in dedup_stream(recs)]
+def test_concatenated_corpus_equals_single_copy(tmp_path):
+    texts = ["p", "q", "r", "p"]
+    assert _dedup(tmp_path, texts, texts) == _dedup(tmp_path, texts)
 
 
 def _random_lines(n, rng, dup_rate=0.3):
@@ -67,11 +75,10 @@ def _random_lines(n, rng, dup_rate=0.3):
     return lines
 
 
-def test_matches_naive_oracle_on_random_input():
+def test_matches_naive_oracle_on_random_input(tmp_path):
     rng = random.Random(2024)
     texts = _random_lines(10_000, rng)
-    got = [r.text for r in dedup_stream(_records(texts))]
-    assert got == oracles.dedup_keep_first(texts)
+    assert _dedup(tmp_path, texts) == oracles.dedup_keep_first(texts)
 
 
 def test_file_modes_agree(tmp_path):

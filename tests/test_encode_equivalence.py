@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from corpuskit.bpe import DEFAULT_SPECIALS, WORD_END, BpeModel, TokenizerConfig, build_alphabet, encode, learn_bpe
+from corpuskit.bpe import DEFAULT_SPECIALS, BpeModel, TokenizerConfig, encode, learn_bpe
 
 import oracles
 
@@ -25,9 +25,12 @@ def test_encode_pieces_equal_the_rank_ordered_reference(words, coverage, data):
     extra = data.draw(st.lists(st.sampled_from(words + list(_CHARS)), max_size=2, unique=True))
     specials = list(dict.fromkeys([*DEFAULT_SPECIALS, *extra]))
     lines = [" ".join(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6))) for _ in range(5)]
-    alphabet = build_alphabet(lines, coverage)
-    base = len({*specials, *alphabet, *(ch + WORD_END for ch in alphabet if ch not in specials)})
-    for size in range(base + data.draw(st.integers(0, 30)), base - 1, -1):
+    # The specials plus each character and its word-final form bound the
+    # merge-free vocabulary from above; coverage below 1 only shrinks it. The
+    # walk down stops at the first size that trains, at the latest at that
+    # vocabulary, and the trained model supplies the alphabet below.
+    bound = len(specials) + 2 * len(set("".join(lines).replace(" ", "")))
+    for size in range(bound + data.draw(st.integers(0, 30)), 0, -1):
         try:
             trained = learn_bpe(lines, TokenizerConfig(vocab_size=size, character_coverage=coverage,
                                                        special_tokens=tuple(specials)))

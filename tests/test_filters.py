@@ -14,7 +14,6 @@ from corpuskit.filters import (
     filter_length,
     filter_non_latin,
     filter_punct_run,
-    is_latin,
     is_punct,
 )
 
@@ -59,10 +58,14 @@ def test_non_latin_empty_passes():
 
 
 def test_latin_table_handles_accents():
+    # at a share of 0, one foreign letter rejects the line
+    strict = FilterConfig(nonlatin_max_ratio=0.0)
     for ch in "añÑéüÉ":
-        assert is_latin(ch)
+        assert oracles.reference_is_latin(ch)
+        assert filter_non_latin(ch, strict).passed, ch
     for ch in "гдβ漢あ":
-        assert not is_latin(ch)
+        assert not oracles.reference_is_latin(ch)
+        assert not filter_non_latin(ch, strict).passed, ch
 
 
 def test_length_bounds():
@@ -210,14 +213,14 @@ def test_fast_path_facts_hold_on_every_codepoint():
     ascii_not_latin, punct_outside_class, space_punct, not_latin_mismatch = [], [], [], []
     for cp in range(sys.maxunicode + 1):
         ch = chr(cp)
-        if cp < 0x80 and ch.isalpha() and not is_latin(ch):
+        if cp < 0x80 and ch.isalpha() and not oracles.reference_is_latin(ch):
             ascii_not_latin.append(hex(cp))
         if is_punct(ch):
             if not one_candidate.fullmatch(ch):
                 punct_outside_class.append(hex(cp))
             if ch.isspace():
                 space_punct.append(hex(cp))
-        if bool(not_latin.fullmatch(ch)) != (cp >= 0x80 and not is_latin(ch)):
+        if bool(not_latin.fullmatch(ch)) != (cp >= 0x80 and not oracles.reference_is_latin(ch)):
             not_latin_mismatch.append(hex(cp))
     assert ascii_not_latin == []  # so an ASCII line has no foreign letter
     assert punct_outside_class == []  # so the punct_run candidate scan misses no run

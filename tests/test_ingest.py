@@ -41,7 +41,7 @@ def test_plain_decodes_bytes_with_context():
 def test_tsv_bitext_parsing():
     counts = Counter()
     recs = list(read_tsv_bitext(["hello\tkamusta\n", "bad line\n", "\n", "hi\tuy\n"], "cc", counts))
-    assert recs == [BitextRecord("hello", "kamusta"), BitextRecord("hi", "uy")]
+    assert recs == [BitextRecord("hello", "kamusta", 1), BitextRecord("hi", "uy", 4)]
     assert counts["malformed"] == 1 and counts["empty"] == 1
 
 
@@ -55,7 +55,7 @@ def test_tsv_bitext_parsing():
 def test_tsv_empty_side_is_a_pair_not_malformed(line, pair):
     counts = Counter()
     recs = list(read_tsv_bitext([line], "cc", counts))
-    assert recs == [BitextRecord(*pair)]
+    assert recs == [BitextRecord(*pair, 1)]
     assert counts["malformed"] == 0 and counts["empty"] == 0
     side = Side.SOURCE if not pair[0] else Side.TARGET
     assert list(extract_bitext_side(recs, side, "cc", counts)) == []
@@ -70,7 +70,7 @@ def test_tsv_whitespace_only_line_is_empty():
 
 def test_paired_bitext_zips_lines():
     recs = list(read_paired_bitext(["a\n", "b\n"], ["x\n", "y\n"], "p"))
-    assert recs == [BitextRecord("a", "x"), BitextRecord("b", "y")]
+    assert recs == [BitextRecord("a", "x", 1), BitextRecord("b", "y", 2)]
 
 
 def test_paired_bitext_unequal_lengths_error():
@@ -79,12 +79,12 @@ def test_paired_bitext_unequal_lengths_error():
 
 
 def test_extract_side_target():
-    recs = list(extract_bitext_side([BitextRecord("hello", "kamusta")], Side.TARGET, "cc"))
+    recs = list(extract_bitext_side([BitextRecord("hello", "kamusta", 1)], Side.TARGET, "cc"))
     assert [r.text for r in recs] == ["kamusta"]
 
 
 def test_extract_side_source():
-    recs = list(extract_bitext_side([BitextRecord("hello", "kamusta")], Side.SOURCE, "cc"))
+    recs = list(extract_bitext_side([BitextRecord("hello", "kamusta", 1)], Side.SOURCE, "cc"))
     assert [r.text for r in recs] == ["hello"]
 
 
@@ -93,21 +93,31 @@ def test_extract_empty_input():
 
 
 def test_extract_does_not_dedup():
-    pairs = [BitextRecord("a", "same"), BitextRecord("b", "same")]
+    pairs = [BitextRecord("a", "same", 1), BitextRecord("b", "same", 2)]
     recs = list(extract_bitext_side(pairs, Side.TARGET, "cc"))
     assert [r.text for r in recs] == ["same", "same"]
 
 
 def test_extract_skips_empty_side_and_counts():
     counts = Counter()
-    pairs = [BitextRecord("a", ""), BitextRecord("b", "y")]
+    pairs = [BitextRecord("a", "", 1), BitextRecord("b", "y", 2)]
     recs = list(extract_bitext_side(pairs, Side.TARGET, "cc", counts))
     assert [(r.text, r.line_no) for r in recs] == [("y", 2)]
     assert counts["empty_side"] == 1
 
 
+def test_extract_numbers_records_by_physical_line():
+    # the blank line and the line without a tab are skipped, not renumbered
+    pairs = read_tsv_bitext(["\n", "orphan\n", "a\tb\n"], "cc")
+    recs = list(extract_bitext_side(pairs, Side.TARGET, "cc"))
+    assert [(r.text, r.source_id, r.line_no) for r in recs] == [("b", "cc", 3)]
+    pairs = read_paired_bitext(["a\n", "\n", "c\n"], ["x\n", "y\n", "z\n"], "p")
+    recs = list(extract_bitext_side(pairs, Side.SOURCE, "p"))
+    assert [(r.text, r.line_no) for r in recs] == [("a", 1), ("c", 3)]
+
+
 def test_extract_preserves_order():
-    pairs = [BitextRecord(str(i), f"t{i}") for i in range(50)]
+    pairs = [BitextRecord(str(i), f"t{i}", i + 1) for i in range(50)]
     recs = list(extract_bitext_side(pairs, Side.TARGET, "cc"))
     assert [r.text for r in recs] == [f"t{i}" for i in range(50)]
 

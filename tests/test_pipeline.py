@@ -288,6 +288,7 @@ def test_interior_carriage_return_is_stage_tagged(tmp_path):
         run_pipeline(cfg, log=None)
     msg = str(exc.value)
     assert "[ingest]" in msg and "crsrc" in msg and "line terminator" in msg
+    assert "crsrc:2:" in msg  # the source and the physical line of the bad record
 
 
 # --- config documents ---------------------------------------------------------------

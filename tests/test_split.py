@@ -7,7 +7,6 @@ from corpuskit.split import (
     SplitUnit,
     assign_split,
     derive_subseed,
-    record_unit_key,
     seeded_hash64,
     split_articles,
     split_corpus,
@@ -112,11 +111,16 @@ def test_document_unit_moves_sources_together():
 
 
 def test_record_unit_keys():
-    rec = SentenceRecord("x", "src", 7)
-    assert record_unit_key(rec, SplitUnit.DOCUMENT) == "src"
-    assert record_unit_key(rec, SplitUnit.LINE) != record_unit_key(
-        SentenceRecord("x", "src", 8), SplitUnit.LINE
-    )
+    # A line is keyed by its source and physical line, never by its text; a
+    # document by its source alone, so one source at ratio 0.5 (a quota of
+    # one unit) lands whole on side A.
+    recs = [SentenceRecord("x", "src", 7), SentenceRecord("x", "src", 8)]
+    for seed in range(8):
+        side_a = assign_split(["src\x1f7", "src\x1f8"], _line_cfg(0.5, seed))
+        expected_a = [r for r in recs if f"src\x1f{r.line_no}" in side_a]
+        assert len(expected_a) == 1
+        assert split_corpus(recs, _line_cfg(0.5, seed)) == (expected_a, [r for r in recs if r not in expected_a])
+        assert split_corpus(recs, SplitConfig(ratio=0.5, seed=seed, unit=SplitUnit.DOCUMENT)) == (recs, [])
 
 
 def test_split_articles_quota_and_determinism():
