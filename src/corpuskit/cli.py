@@ -10,13 +10,16 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 from . import bpe, dedup, nli, pipeline, tweets
-from .core import CorpusError, decode_line
+from .core import CorpusError, decoded_lines
 from .filters import FilterConfig, apply_filters
 from .ingest import (
     SKIP_KINDS,
@@ -30,14 +33,31 @@ from .labels import N_FLAGS, encode_label_flags
 from .split import SplitConfig, SplitUnit, split_articles, split_corpus
 
 
+@contextmanager
+def _replaced_on_success(path: str):
+    """A temporary path beside path, moved onto it only if the block succeeds, so a failed
+    command keeps the earlier output. Only a new path or a regular file with one link is
+    staged; a symlink, a device, or a file in a directory that takes no new file is written in place."""
+    st = os.lstat(path) if os.path.lexists(path) else None
+    staging = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        with suppress(OSError):  # opening the path itself then names the output in its error
+            staging = tempfile.TemporaryDirectory(prefix=".corpuskit-", dir=os.path.dirname(os.path.abspath(path)))
+    if staging is None:
+        yield path
+        return
+    with staging as tmp:
+        staged = os.path.join(tmp, "out")
+        yield staged
+        if st:
+            os.chmod(staged, stat.S_IMODE(st.st_mode))
+        os.replace(staged, path)
+
+
+@contextmanager
 def _open_out(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _decoded_lines(f, path: str):
-    """The lines of a file opened in binary, split on "\\n" only. Invalid
-    UTF-8 raises EncodingError naming the file and line."""
-    return (decode_line(raw, path, line_no) for line_no, raw in enumerate(f, 1))
+    with _replaced_on_success(path) as staged, open(staged, "w", encoding="utf-8", newline="\n") as out:
+        yield out
 
 
 def cmd_ingest(args) -> int:
@@ -49,7 +69,7 @@ def cmd_ingest(args) -> int:
     n = 0
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "rb")) for path in args.inputs]
-        out = stack.enter_context(_open_out(args.out))  # after the inputs open, so a bad path clobbers nothing
+        out = stack.enter_context(_open_out(args.out))
         if args.format == "plain":
             records = read_plain_corpus(files[0], args.source_id, counts)
         else:
@@ -94,10 +114,11 @@ def cmd_filter(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    if args.external_sort:
-        summary = dedup.dedup_files(args.inputs, args.out, tmp_dir=args.tmp)
-    else:
-        summary = dedup.dedup_lines(args.inputs, args.out)
+    with _replaced_on_success(args.out) as out:
+        if args.external_sort:
+            summary = dedup.dedup_files(args.inputs, out, tmp_dir=args.tmp)
+        else:
+            summary = dedup.dedup_lines(args.inputs, out)
     print(summary.line())
     return 0
 
@@ -125,8 +146,8 @@ def cmd_split(args) -> int:
 
         def render(rec):
             return rec.text + "\n"
-    for path, side in zip((args.out_a, args.out_b), sides):
-        with _open_out(path) as out:
+    with _open_out(args.out_a) as out_a, _open_out(args.out_b) as out_b:
+        for out, side in zip((out_a, out_b), sides):
             out.writelines(map(render, side))
     print(f"units={len(units)} a={len(sides[0])} b={len(sides[1])}", file=sys.stderr)
     return 0
@@ -142,10 +163,11 @@ def cmd_train_bpe(args) -> int:
     def texts():
         for path in args.inputs:
             with open(path, "rb") as f:
-                yield from _decoded_lines(f, path)
+                yield from (line for _, line in decoded_lines(f, path))
 
     model = bpe.learn_bpe(texts(), cfg)
-    bpe.save_model(model, args.merges_out, args.vocab_out)
+    with _replaced_on_success(args.merges_out) as merges, _replaced_on_success(args.vocab_out) as vocab:
+        bpe.save_model(model, merges, vocab)
     print(f"vocab={len(model.vocab)} merges={len(model.merges)}", file=sys.stderr)
     return 0
 
@@ -153,16 +175,15 @@ def cmd_train_bpe(args) -> int:
 def cmd_encode(args) -> int:
     model = bpe.load_model(args.merges, args.vocab)
     with open(args.infile, "rb") as f, _open_out(args.out) as out:
-        for line in _decoded_lines(f, args.infile):
-            ids = bpe.encode(model, line)
-            out.write(" ".join(map(str, ids)) + "\n")
+        for _, line in decoded_lines(f, args.infile):
+            out.write(" ".join(map(str, bpe.encode(model, line))) + "\n")
     return 0
 
 
 def cmd_prep_tweets(args) -> int:
     n = 0
     with open(args.infile, "rb") as f, _open_out(args.out) as out:
-        for line in _decoded_lines(f, args.infile):
+        for _, line in decoded_lines(f, args.infile):
             line = line.rstrip("\r\n")
             if not line:
                 continue
@@ -179,7 +200,7 @@ def cmd_prep_tweets(args) -> int:
 def cmd_encode_labels(args) -> int:
     n = 0
     with open(args.infile, "rb") as f, _open_out(args.out) as out:
-        for ln, line in enumerate(_decoded_lines(f, args.infile), start=1):
+        for ln, line in decoded_lines(f, args.infile):
             line = line.strip()
             if not line:
                 continue

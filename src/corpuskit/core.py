@@ -1,4 +1,5 @@
-"""Shared text model: sentence records, errors and filter verdicts.
+"""Shared text model: the line decoder, sentence records, errors and filter
+verdicts.
 
 One "line" is one sentence: a physical line of the input with its
 terminator and surrounding whitespace stripped (``str.strip()``) and every
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 
 class CorpusError(Exception):
@@ -21,15 +23,12 @@ class CorpusError(Exception):
 
 
 class EncodingError(CorpusError):
-    """Invalid UTF-8 in an input corpus, with source and line context."""
+    """Invalid UTF-8 in an input corpus, naming the file (or source) and line."""
 
     def __init__(self, source_id: str, line_no: int, detail: str = ""):
         self.source_id = source_id
         self.line_no = line_no
-        msg = f"invalid UTF-8 in source '{source_id}' at line {line_no}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"invalid UTF-8 in source '{source_id}' at line {line_no}" + (f": {detail}" if detail else ""))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +75,14 @@ class FilterVerdict:
 PASS = FilterVerdict(True, RejectReason.NONE)
 
 
-def decode_line(raw: bytes, source_id: str, line_no: int) -> str:
-    """Decode one physical line, mapping bad bytes to EncodingError with context."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise EncodingError(source_id, line_no, str(e)) from None
+def decoded_lines(lines: Iterable[bytes], source_id: str) -> Iterator[tuple[int, str]]:
+    """Number the lines of a file read in binary from 1 and decode each one.
+
+    Invalid UTF-8 raises EncodingError naming the line and the file: a file
+    object's name, or source_id for any other iterable of bytes.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            yield line_no, raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise EncodingError(str(getattr(lines, "name", source_id)), line_no, str(e)) from None

@@ -8,6 +8,9 @@ hundreds of millions of lines on a workstation. dedup_files is a two-pass
 external-sort variant for inputs whose key set does not fit: pass one spills
 sorted (digest, index) runs to disk and merges them to find each digest's
 first occurrence, pass two re-reads the input and emits the survivors.
+Runs are fixed-width binary records, so bytewise order is key order: a
+16-byte digest plus an 8-byte big-endian line index in pass one, the
+index alone for the survivors.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ import hashlib
 import heapq
 import tempfile
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .core import decode_line
+from .core import decoded_lines
 
 DIGEST_BYTES = 16  # 128 bits; collision odds are negligible at web-corpus scale
+_INDEX_BYTES = 8  # big-endian, so bytewise order is numeric order
 
 
 def dedup_key(text: str) -> bytes:
@@ -42,12 +48,12 @@ class DedupSummary:
         return f"read={self.read} kept={self.kept} dropped={self.dropped}"
 
 
-def _iter_file_lines(paths: list[Path]) -> Iterator[str]:
+def _iter_file_lines(paths: list[Path | str]) -> Iterator[str]:
     """Normalized lines of the concatenated input files; blanks are skipped."""
     for path in paths:
         with open(path, "rb") as f:
-            for line_no, raw in enumerate(f, start=1):
-                yield decode_line(raw, str(path), line_no).strip()
+            for _, line in decoded_lines(f, str(path)):
+                yield line.strip()
 
 
 def dedup_lines(paths: list[Path | str], out_path: Path | str) -> DedupSummary:
@@ -55,7 +61,6 @@ def dedup_lines(paths: list[Path | str], out_path: Path | str) -> DedupSummary:
 
     Blank lines never reach the output and count as dropped.
     """
-    paths = [Path(p) for p in paths]
     summary = DedupSummary()
     seen: set[bytes] = set()
     with open(out_path, "w", encoding="utf-8", newline="\n") as out:
@@ -72,27 +77,44 @@ def dedup_lines(paths: list[Path | str], out_path: Path | str) -> DedupSummary:
     return summary
 
 
-_INDEX_WIDTH = 12  # zero-padded so lexicographic order equals numeric order
+def _spill(records: Iterator[bytes], tmp_dir: Path, name: str, chunk_lines: int) -> list[Path]:
+    """Sort the records chunk_lines at a time and write each sorted run of
+    fixed-width records to its own file."""
+    runs: list[Path] = []
+    while chunk := sorted(islice(records, chunk_lines)):
+        runs.append(tmp_dir / f"{name}-{len(runs):05d}.bin")
+        with open(runs[-1], "wb") as f:
+            f.write(b"".join(chunk))
+        del chunk  # free this run before the next one is read
+    return runs
 
 
-def _spill_sorted(lines: list[str], tmp_dir: Path, n: int) -> Path:
-    lines.sort()
-    path = tmp_dir / f"run-{n:05d}.txt"
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines))
-        if lines:
-            f.write("\n")
-    return path
-
-
-def _merged_lines(run_paths: list[Path]) -> Iterator[str]:
-    files = [open(p, "r", encoding="ascii") for p in run_paths]
+def _merged(run_paths: list[Path], width: int) -> Iterator[bytes]:
+    """The records of the sorted runs, merged into one sorted stream."""
+    files = [open(p, "rb") for p in run_paths]
     try:
-        for line in heapq.merge(*files):
-            yield line.rstrip("\n")
+        yield from heapq.merge(*(iter(partial(f.read, width), b"") for f in files))
     finally:
         for f in files:
             f.close()
+
+
+def _keyed(paths: list[Path | str], summary: DedupSummary) -> Iterator[bytes]:
+    """A (digest, line index) record for each non-blank line; counts every line read."""
+    for index, text in enumerate(_iter_file_lines(paths)):
+        summary.read += 1
+        if text:
+            yield dedup_key(text) + index.to_bytes(_INDEX_BYTES, "big")
+
+
+def _first_indices(key_runs: list[Path]) -> Iterator[bytes]:
+    """The index of each digest's first record. Records sort by digest, then
+    by index, so that is exactly the keep-first survivor."""
+    prev_digest = None
+    for entry in _merged(key_runs, DIGEST_BYTES + _INDEX_BYTES):
+        if entry[:DIGEST_BYTES] != prev_digest:
+            prev_digest = entry[:DIGEST_BYTES]
+            yield entry[DIGEST_BYTES:]
 
 
 def dedup_files(
@@ -106,53 +128,23 @@ def dedup_files(
     Peak memory is O(chunk_lines), independent of input size. Output is
     byte-identical to the in-memory mode on the same inputs.
     """
-    paths = [Path(p) for p in paths]
+    if chunk_lines < 1:
+        raise ValueError(f"chunk_lines must be at least 1, got {chunk_lines}")
+    paths = list(paths)  # both passes read them
     summary = DedupSummary()
     with tempfile.TemporaryDirectory(dir=tmp_dir) as td:
         work = Path(td)
-
-        # Pass 1: spill sorted (digest, line index) runs, blanks excluded.
-        runs: list[Path] = []
-        buf: list[str] = []
-        index = 0
-        for text in _iter_file_lines(paths):
-            summary.read += 1
-            if not text:
-                index += 1
-                continue
-            buf.append(f"{dedup_key(text).hex()} {index:0{_INDEX_WIDTH}d}")
-            index += 1
-            if len(buf) >= chunk_lines:
-                runs.append(_spill_sorted(buf, work, len(runs)))
-                buf = []
-        if buf:
-            runs.append(_spill_sorted(buf, work, len(runs)))
-            buf = []
-
-        # Merge: within a digest group the smallest index comes first, which
-        # is exactly the keep-first survivor. Spill survivor indices and sort
-        # them back into input order.
-        survivor_runs: list[Path] = []
-        survivors: list[str] = []
-        prev_digest = None
-        for entry in _merged_lines(runs):
-            digest, idx = entry.split(" ")
-            if digest != prev_digest:
-                survivors.append(idx)
-                prev_digest = digest
-                if len(survivors) >= chunk_lines:
-                    survivor_runs.append(_spill_sorted(survivors, work, len(runs) + len(survivor_runs)))
-                    survivors = []
-        if survivors:
-            survivor_runs.append(_spill_sorted(survivors, work, len(runs) + len(survivor_runs)))
-            survivors = []
+        # Pass 1 spills sorted key runs; merging them gives the survivors'
+        # indices, which are spilled again to sort them into input order.
+        key_runs = _spill(_keyed(paths, summary), work, "keys", chunk_lines)
+        survivor_runs = _spill(_first_indices(key_runs), work, "survivors", chunk_lines)
 
         # Pass 2: re-read the input and emit lines whose index survived.
-        keep_iter = _merged_lines(survivor_runs)
+        keep_iter = (int.from_bytes(idx, "big") for idx in _merged(survivor_runs, _INDEX_BYTES))
         next_keep = next(keep_iter, None)
         with open(out_path, "w", encoding="utf-8", newline="\n") as out:
             for index, text in enumerate(_iter_file_lines(paths)):
-                if next_keep is not None and index == int(next_keep):
+                if index == next_keep:
                     out.write(text + "\n")
                     summary.kept += 1
                     next_keep = next(keep_iter, None)

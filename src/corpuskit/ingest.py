@@ -5,6 +5,8 @@ either as tab-separated two-column files or as paired parallel files with
 equal line counts; extraction keeps one side and discards the other. All
 readers stream, normalize every line, skip blanks, and keep the original
 physical line numbers for provenance. Pass a Counter to collect skip counts.
+Readers take the lines of a file opened in binary; core.decoded_lines
+numbers and decodes them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import groupby, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import SentenceRecord, decode_line
+from .core import SentenceRecord, decoded_lines
 
 
 # Counter keys the readers skip lines under, with their names in the build report.
@@ -38,23 +40,15 @@ class BitextRecord:
     line_no: int
 
 
-def _decoded(line: str | bytes, source_id: str, line_no: int) -> str:
-    return decode_line(line, source_id, line_no) if isinstance(line, bytes) else line
-
-
-def _as_text(line: str | bytes, source_id: str, line_no: int) -> str:
-    return _decoded(line, source_id, line_no).strip()
-
-
 def read_plain_corpus(
-    lines: Iterable[str | bytes],
+    lines: Iterable[bytes],
     source_id: str,
     counts: Counter | None = None,
 ) -> Iterator[SentenceRecord]:
     """One record per non-empty normalized line; blanks are skipped and counted."""
     counts = Counter() if counts is None else counts
-    for line_no, raw in enumerate(lines, start=1):
-        text = _as_text(raw, source_id, line_no)
+    for line_no, line in decoded_lines(lines, source_id):
+        text = line.strip()
         counts["lines"] += 1
         if not text:
             counts["empty"] += 1
@@ -63,7 +57,7 @@ def read_plain_corpus(
 
 
 def read_tsv_bitext(
-    lines: Iterable[str | bytes],
+    lines: Iterable[bytes],
     source_id: str,
     counts: Counter | None = None,
 ) -> Iterator[BitextRecord]:
@@ -71,8 +65,7 @@ def read_tsv_bitext(
     side is normalized, so an empty side survives for extraction to count.
     Blank lines and lines without a tab are skipped and counted."""
     counts = Counter() if counts is None else counts
-    for line_no, raw in enumerate(lines, start=1):
-        line = _decoded(raw, source_id, line_no)
+    for line_no, line in decoded_lines(lines, source_id):
         counts["lines"] += 1
         if not line.strip():
             counts["empty"] += 1
@@ -85,23 +78,20 @@ def read_tsv_bitext(
 
 
 def read_paired_bitext(
-    source_lines: Iterable[str | bytes],
-    target_lines: Iterable[str | bytes],
+    source_lines: Iterable[bytes],
+    target_lines: Iterable[bytes],
     source_id: str,
     counts: Counter | None = None,
 ) -> Iterator[BitextRecord]:
     """Zip two parallel files line by line; unequal lengths are an error."""
     counts = Counter() if counts is None else counts
-    for line_no, (src, tgt) in enumerate(zip_longest(source_lines, target_lines), start=1):
+    pairs = zip_longest(decoded_lines(source_lines, source_id), decoded_lines(target_lines, source_id))
+    for src, tgt in pairs:
         if src is None or tgt is None:
-            short = "source" if src is None else "target"
-            raise ValueError(f"paired corpus '{source_id}': {short} file ends at line {line_no - 1}")
+            short, longer = ("source", tgt) if src is None else ("target", src)
+            raise ValueError(f"paired corpus '{source_id}': {short} file ends at line {longer[0] - 1}")
         counts["lines"] += 1
-        yield BitextRecord(
-            _as_text(src, source_id, line_no),
-            _as_text(tgt, source_id, line_no),
-            line_no,
-        )
+        yield BitextRecord(src[1].strip(), tgt[1].strip(), src[0])
 
 
 def extract_bitext_side(
@@ -122,20 +112,14 @@ def extract_bitext_side(
         yield SentenceRecord(text, source_id, rec.line_no)
 
 
-def read_articles(
-    lines: Iterable[str | bytes],
-    source_id: str = "articles",
-    counts: Counter | None = None,
-) -> Iterator[list[str]]:
+def read_articles(lines: Iterable[bytes], source_id: str = "articles") -> Iterator[list[str]]:
     """Blank-line separated blocks of sentences, e.g. one news article each."""
-    counts = Counter() if counts is None else counts
-    texts = (_as_text(raw, source_id, line_no) for line_no, raw in enumerate(lines, start=1))
+    texts = (line.strip() for _, line in decoded_lines(lines, source_id))
     for nonblank, block in groupby(texts, key=bool):
         if nonblank:
-            counts["articles"] += 1
             yield list(block)
 
 
-def read_articles_file(path: Path | str, counts: Counter | None = None) -> Iterator[list[str]]:
+def read_articles_file(path: Path | str) -> Iterator[list[str]]:
     with open(path, "rb") as f:
-        yield from read_articles(f, str(path), counts)
+        yield from read_articles(f, str(path))

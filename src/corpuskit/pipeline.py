@@ -260,12 +260,10 @@ def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecor
         with open(spec.path, "rb") as f:
             pairs = read_tsv_bitext(f, spec.source_id, counts)
             yield from extract_bitext_side(pairs, spec.side, spec.source_id, counts)
-    elif spec.format == "paired":
+    else:  # paired: validate_config refuses any other format
         with open(spec.path, "rb") as src, open(spec.path2, "rb") as tgt:
             pairs = read_paired_bitext(src, tgt, spec.source_id, counts)
             yield from extract_bitext_side(pairs, spec.side, spec.source_id, counts)
-    else:
-        raise ValueError(f"unknown source format '{spec.format}'")
 
 
 def _write_lines(path: Path, records: Iterable[SentenceRecord]) -> None:

@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,10 @@ def test_ingest_plain(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("a b c d\n\nx y z w\n", encoding="utf-8")
     out = tmp_path / "out.txt"
+    out.write_text("a previous output, longer than the new one\n", encoding="utf-8")
     assert run_cli("ingest", src, "--out", out) == 0
     assert out.read_text(encoding="utf-8") == "a b c d\nx y z w\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]  # no staging file left behind
     assert "read=3 extracted=2 skipped=1" in capsys.readouterr().err
 
 
@@ -60,6 +63,25 @@ def test_ingest_missing_input_leaves_output_untouched(tmp_path):
     out.write_text("previous output\n", encoding="utf-8")
     assert run_cli("ingest", tmp_path / "missing.txt", "--out", out) == 1
     assert out.read_text(encoding="utf-8") == "previous output\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "dedup", "split", "train-bpe"])
+def test_an_output_in_a_missing_directory_is_named(tmp_path, capsys, command):
+    src = tmp_path / "in.txt"
+    src.write_text("low low lower newest newest widest\n", encoding="utf-8")
+    first = tmp_path / "first.txt"
+    first.write_text("keep me\n", encoding="utf-8")
+    out = tmp_path / "missing" / "out.txt"
+    argv = {
+        "ingest": ["ingest", src, "--out", out],
+        "dedup": ["dedup", "--in", src, "--out", out],
+        # a command with two outputs replaces the first only if it can write the second
+        "split": ["split", "--in", src, "--ratio", 0.5, "--seed", 1, "--out-a", first, "--out-b", out],
+        "train-bpe": ["train-bpe", "--in", src, "--vocab-size", 30, "--merges-out", first, "--vocab-out", out],
+    }[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: [{command}] [Errno 2] No such file or directory: '{out}'\n"
+    assert first.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_filter_command_with_config(tmp_path, capsys):
@@ -256,22 +278,104 @@ def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt)
     assert err.startswith(f"error: [encode] {bad_file}:{line_no}: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("command", ["train-bpe", "encode", "prep-tweets", "encode-labels"])
+_UTF8_CASES = ["train-bpe", "encode", "prep-tweets", "encode-labels", "ingest-plain", "ingest-tsv",
+               "ingest-paired-source", "ingest-paired-target", "filter", "dedup", "dedup-external",
+               "split-line", "split-document", "make-nli"]
+
+
+@pytest.mark.parametrize("command", _UTF8_CASES)
 def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
     merges, vocab = _train_toy_model(tmp_path)
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"0,0,0,0,0\nlow \xff\t1\n")
+    good = tmp_path / "good.txt"
+    good.write_bytes(b"one two three four\nfive six seven eight\n")
     out = tmp_path / "out.txt"
     argv = {
-        "train-bpe": ["--vocab-size", 30, "--merges-out", tmp_path / "m2.txt", "--vocab-out", tmp_path / "v2.txt"],
-        "encode": ["--merges", merges, "--vocab", vocab, "--out", out],
-        "prep-tweets": ["--out", out],
-        "encode-labels": ["--out", out],
+        "train-bpe": ["train-bpe", "--in", bad, "--vocab-size", 30,
+                      "--merges-out", tmp_path / "m2.txt", "--vocab-out", tmp_path / "v2.txt"],
+        "encode": ["encode", "--in", bad, "--merges", merges, "--vocab", vocab, "--out", out],
+        "prep-tweets": ["prep-tweets", "--in", bad, "--out", out],
+        "encode-labels": ["encode-labels", "--in", bad, "--out", out],
+        "ingest-plain": ["ingest", bad, "--source-id", "web", "--out", out],
+        "ingest-tsv": ["ingest", bad, "--format", "tsv", "--source-id", "cc", "--out", out],
+        "ingest-paired-source": ["ingest", bad, good, "--format", "paired", "--source-id", "par", "--out", out],
+        "ingest-paired-target": ["ingest", good, bad, "--format", "paired", "--source-id", "par", "--out", out],
+        "filter": ["filter", "--in", bad, "--out", out, "--rejects", tmp_path / "rej.tsv"],
+        # each file numbers its own lines: the bad line is line 2 of the second input
+        "dedup": ["dedup", "--in", good, bad, "--out", out],
+        "dedup-external": ["dedup", "--in", good, bad, "--out", out, "--external-sort", "--tmp", tmp_path],
+        "split-line": ["split", "--in", bad, "--ratio", 0.5, "--seed", 1, "--unit", "line",
+                       "--out-a", out, "--out-b", tmp_path / "b.txt"],
+        "split-document": ["split", "--in", bad, "--ratio", 0.5, "--seed", 1, "--unit", "document",
+                           "--out-a", out, "--out-b", tmp_path / "b.txt"],
+        "make-nli": ["make-nli", "--in", bad, "--seed", 1, "--out", out],
     }[command]
     capsys.readouterr()
-    assert run_cli(command, "--in", bad, *argv) == 1
+    assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid UTF-8 in source '{bad}' at line 2: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["ingest", "filter", "dedup", "dedup-external", "encode", "prep-tweets",
+                                     "encode-labels"])
+def test_a_failed_command_keeps_earlier_outputs(tmp_path, command):
+    merges, vocab = _train_toy_model(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"one two three four\nbroken \xff line here\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    out, rej = work / "kept.txt", work / "rej.tsv"
+    for path in (out, rej):
+        path.write_text("keep me\n", encoding="utf-8")
+    argv = {
+        "ingest": ["ingest", bad],
+        "filter": ["filter", "--in", bad, "--rejects", rej],
+        "dedup": ["dedup", "--in", bad],
+        "dedup-external": ["dedup", "--in", bad, "--external-sort", "--tmp", work],
+        "encode": ["encode", "--in", bad, "--merges", merges, "--vocab", vocab],
+        "prep-tweets": ["prep-tweets", "--in", bad],
+        "encode-labels": ["encode-labels", "--in", bad],
+    }[command]
+    assert run_cli(*argv, "--out", out) == 1
+    assert sorted(os.listdir(work)) == ["kept.txt", "rej.tsv"]
+    assert out.read_text(encoding="utf-8") == rej.read_text(encoding="utf-8") == "keep me\n"
+
+
+def test_external_dedup_leaves_its_spill_directory_empty(tmp_path):
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("x\ny\nx\n" * 5, encoding="utf-8")
+    assert run_cli("dedup", "--in", src, "--out", out, "--external-sort", "--tmp", spill) == 0
+    assert out.read_text(encoding="utf-8") == "x\ny\n"
+    assert os.listdir(spill) == []
+    src.write_bytes(b"x\ny\n\xff\n")  # invalid UTF-8 stops pass 1
+    assert run_cli("dedup", "--in", src, "--out", out, "--external-sort", "--tmp", spill) == 1
+    assert os.listdir(spill) == []
+    assert out.read_text(encoding="utf-8") == "x\ny\n"
+
+
+def test_outputs_are_written_through_symlinks_and_devices(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("one two three four\n<b>x</b> y z w\n", encoding="utf-8")
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("previous\n", encoding="utf-8")
+    link.symlink_to(target)
+    assert run_cli("filter", "--in", src, "--out", link, "--rejects", os.devnull) == 0
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "one two three four\n"
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not [name for name in os.listdir(os.path.dirname(os.devnull)) if name.startswith(".corpuskit-")]
+
+
+def test_a_replaced_output_keeps_its_permissions(tmp_path):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("a b c d\n", encoding="utf-8")
+    out.write_text("previous\n", encoding="utf-8")
+    out.chmod(0o640)
+    assert run_cli("ingest", src, "--out", out) == 0
+    assert out.read_text(encoding="utf-8") == "a b c d\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

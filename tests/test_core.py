@@ -8,7 +8,7 @@ from corpuskit.core import (
     FilterVerdict,
     RejectReason,
     SentenceRecord,
-    decode_line,
+    decoded_lines,
 )
 from corpuskit.filters import FilterConfig, filter_avg_word_len, filter_length
 from corpuskit.ingest import read_plain_corpus
@@ -25,7 +25,7 @@ def _token_count(text: str) -> int:
     return counts[0]
 
 
-def _line(raw: str | bytes) -> list[str]:
+def _line(raw: bytes) -> list[str]:
     """The texts read_plain_corpus yields for one physical line."""
     return [rec.text for rec in read_plain_corpus([raw], "s")]
 
@@ -62,31 +62,39 @@ def test_tokenize_join_roundtrip_is_stable():
 
 
 def test_normalize_strips_terminator_and_edges():
-    assert _line("  hello \r\n") == ["hello"]
     assert _line(b"  hello \r\n") == ["hello"]
+    assert _line(b"\thello\n") == ["hello"]
 
 
 def test_normalize_idempotent():
-    assert _line("hello") == ["hello"]
-    for raw in ["  a b  ", "x\n", "\t\tkamusta po\r\n"]:
+    assert _line(b"hello") == ["hello"]
+    for raw in [b"  a b  ", b"x\n", b"\t\tkamusta po\r\n"]:
         (once,) = _line(raw)
-        assert _line(once) == [once]
-    assert _line("") == [] and _line(" \r\n") == []  # a blank line yields no record
+        assert _line(once.encode("utf-8")) == [once]
+    assert _line(b"") == [] and _line(b" \r\n") == []  # a blank line yields no record
 
 
 def test_normalize_preserves_codepoints():
     # no NFC/NFD: a combining sequence stays decomposed
     decomposed = "cafe\u0301"
-    assert _line(decomposed + "\n") == [decomposed]
+    assert _line(b"cafe\xcc\x81\n") == [decomposed]
     assert _line((decomposed + "\n").encode("utf-8")) == [decomposed]
-    assert _line("caf\u00e9\n") == ["caf\u00e9"]
+    assert _line(b"caf\xc3\xa9\n") == ["caf\u00e9"]
 
 
-def test_decode_line_reports_source_and_line():
+def test_decode_line_reports_source_and_line(tmp_path):
+    lines = [b"ok\n"] * 16 + [b"\xff\xfe bad"]
     with pytest.raises(EncodingError) as exc:
-        decode_line(b"\xff\xfe bad", "oscar", 17)
-    assert "oscar" in str(exc.value)
-    assert "17" in str(exc.value)
+        list(decoded_lines(lines, "oscar"))
+    assert str(exc.value).startswith("invalid UTF-8 in source 'oscar' at line 17: ")
+    # a file object is named by its path, not by the source id
+    path = tmp_path / "web.txt"
+    path.write_bytes(b"".join(lines))
+    with open(path, "rb") as f, pytest.raises(EncodingError) as exc:
+        list(decoded_lines(f, "oscar"))
+    assert str(exc.value).startswith(f"invalid UTF-8 in source '{path}' at line 17: ")
+    assert (exc.value.source_id, exc.value.line_no) == (str(path), 17)
+    assert list(decoded_lines([b"a\n", b"b\r\n"], "s")) == [(1, "a\n"), (2, "b\r\n")]
 
 
 def test_record_rejects_line_terminators():

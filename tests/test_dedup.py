@@ -1,4 +1,7 @@
+import os
 import random
+
+import pytest
 
 from corpuskit.dedup import dedup_files, dedup_key, dedup_lines
 from corpuskit.pipeline import PipelineConfig, SourceSpec, run_pipeline
@@ -119,6 +122,15 @@ def test_multiple_inputs_keep_first_across_files(tmp_path):
     ext = tmp_path / "ext.txt"
     dedup_files([f1, f2], ext, tmp_dir=tmp_path, chunk_lines=2)
     assert ext.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("chunk_lines", [0, -1])
+def test_external_mode_rejects_a_chunk_below_one_line(tmp_path, chunk_lines):
+    src = tmp_path / "in.txt"
+    src.write_text("a\nb\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"chunk_lines must be at least 1, got {chunk_lines}"):
+        dedup_files([src], tmp_path / "out.txt", tmp_dir=tmp_path, chunk_lines=chunk_lines)
+    assert sorted(os.listdir(tmp_path)) == ["in.txt"]
 
 
 def test_external_mode_empty_input(tmp_path):

@@ -1,8 +1,11 @@
-"""Every name a corpuskit module imports is used in that module.
+"""Every name a corpuskit module imports is used in that module, and only
+core.py decodes bytes.
 
 A removed function often leaves its imports behind (a helper module, a
 typing name, a record type). The package's __init__ is left out: importing
-names there is how it exports them.
+names there is how it exports them. Input lines are decoded in one place,
+core.decoded_lines, so that every reader numbers lines and reports bad
+UTF-8 the same way; a `.decode(...)` call anywhere else is a second decoder.
 """
 
 import ast
@@ -38,3 +41,23 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import bisect\nimport os.path\nfrom typing import Iterable, Iterator as It\n"
                      "def f(x: It) -> None:\n    os.path.join(x)\n")
     assert _unused_imports(tree) == ["line 1: bisect", "line 3: Iterable"]
+
+
+def _decode_calls(tree: ast.Module) -> list[int]:
+    """Lines of `x.decode(...)` calls, except the package's own
+    functions named decode called through their module (`bpe.decode`)."""
+    modules = {p.stem for p in MODULES}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "decode"
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id in modules)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_decodes_bytes(path):
+    assert _decode_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+def test_the_check_sees_a_decode_call():
+    tree = ast.parse("def f(raw, model):\n    decode(model, [1])\n    bpe.decode(model, [1])\n"
+                     "    return raw.strip().decode('utf-8')\n")
+    assert _decode_calls(tree) == [4]

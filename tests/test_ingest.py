@@ -16,7 +16,7 @@ from corpuskit.ingest import (
 
 def test_plain_skips_blank_lines_and_keeps_line_numbers():
     counts = Counter()
-    recs = list(read_plain_corpus(["a\n", "\n", "b\n"], "src", counts))
+    recs = list(read_plain_corpus([b"a\n", b"\n", b"b\n"], "src", counts))
     assert [(r.text, r.line_no) for r in recs] == [("a", 1), ("b", 3)]
     assert counts["lines"] == 3 and counts["empty"] == 1
 
@@ -26,7 +26,7 @@ def test_plain_empty_file():
 
 
 def test_plain_identity_passthrough():
-    recs = list(read_plain_corpus(["a\n", "b\n"], "src"))
+    recs = list(read_plain_corpus([b"a\n", b"b\n"], "src"))
     assert [(r.text, r.source_id, r.line_no) for r in recs] == [("a", "src", 1), ("b", "src", 2)]
 
 
@@ -40,17 +40,17 @@ def test_plain_decodes_bytes_with_context():
 
 def test_tsv_bitext_parsing():
     counts = Counter()
-    recs = list(read_tsv_bitext(["hello\tkamusta\n", "bad line\n", "\n", "hi\tuy\n"], "cc", counts))
+    recs = list(read_tsv_bitext([b"hello\tkamusta\n", b"bad line\n", b"\n", b"hi\tuy\n"], "cc", counts))
     assert recs == [BitextRecord("hello", "kamusta", 1), BitextRecord("hi", "uy", 4)]
     assert counts["malformed"] == 1 and counts["empty"] == 1
 
 
 @pytest.mark.parametrize("line, pair", [
-    ("\tkamusta\n", ("", "kamusta")),      # leading tab: empty source side
-    ("hello\t\n", ("hello", "")),          # trailing tab: empty target side
-    ("hello\t   \n", ("hello", "")),       # whitespace-only target side
-    ("  \t kamusta \n", ("", "kamusta")),  # whitespace-only source side
-    (b"hello\t\n", ("hello", "")),
+    (b"\tkamusta\n", ("", "kamusta")),      # leading tab: empty source side
+    (b"hello\t\n", ("hello", "")),          # trailing tab: empty target side
+    (b"hello\t   \n", ("hello", "")),       # whitespace-only target side
+    (b"  \t kamusta \n", ("", "kamusta")),  # whitespace-only source side
+    (b"hello\t\r\n", ("hello", "")),        # CRLF terminator: empty target side
 ])
 def test_tsv_empty_side_is_a_pair_not_malformed(line, pair):
     counts = Counter()
@@ -64,18 +64,18 @@ def test_tsv_empty_side_is_a_pair_not_malformed(line, pair):
 
 def test_tsv_whitespace_only_line_is_empty():
     counts = Counter()
-    assert list(read_tsv_bitext([" \t \n", "\t\n"], "cc", counts)) == []
+    assert list(read_tsv_bitext([b" \t \n", b"\t\n"], "cc", counts)) == []
     assert counts["empty"] == 2 and counts["malformed"] == 0
 
 
 def test_paired_bitext_zips_lines():
-    recs = list(read_paired_bitext(["a\n", "b\n"], ["x\n", "y\n"], "p"))
+    recs = list(read_paired_bitext([b"a\n", b"b\n"], [b"x\n", b"y\n"], "p"))
     assert recs == [BitextRecord("a", "x", 1), BitextRecord("b", "y", 2)]
 
 
 def test_paired_bitext_unequal_lengths_error():
     with pytest.raises(ValueError, match="ends at line"):
-        list(read_paired_bitext(["a\n", "b\n"], ["x\n"], "p"))
+        list(read_paired_bitext([b"a\n", b"b\n"], [b"x\n"], "p"))
 
 
 def test_extract_side_target():
@@ -108,10 +108,10 @@ def test_extract_skips_empty_side_and_counts():
 
 def test_extract_numbers_records_by_physical_line():
     # the blank line and the line without a tab are skipped, not renumbered
-    pairs = read_tsv_bitext(["\n", "orphan\n", "a\tb\n"], "cc")
+    pairs = read_tsv_bitext([b"\n", b"orphan\n", b"a\tb\n"], "cc")
     recs = list(extract_bitext_side(pairs, Side.TARGET, "cc"))
     assert [(r.text, r.source_id, r.line_no) for r in recs] == [("b", "cc", 3)]
-    pairs = read_paired_bitext(["a\n", "\n", "c\n"], ["x\n", "y\n", "z\n"], "p")
+    pairs = read_paired_bitext([b"a\n", b"\n", b"c\n"], [b"x\n", b"y\n", b"z\n"], "p")
     recs = list(extract_bitext_side(pairs, Side.SOURCE, "p"))
     assert [(r.text, r.line_no) for r in recs] == [("a", 1), ("c", 3)]
 
@@ -123,8 +123,6 @@ def test_extract_preserves_order():
 
 
 def test_read_articles_blank_line_blocks():
-    lines = ["s1\n", "s2\n", "\n", "t1\n", "t2\n", "t3\n", "\n", "\n", "u1\n"]
-    counts = Counter()
-    arts = list(read_articles(lines, counts=counts))
+    lines = [b"s1\n", b"s2\n", b"\n", b"t1\n", b"t2\n", b"t3\n", b"\n", b"\n", b"u1\n"]
+    arts = list(read_articles(lines))
     assert arts == [["s1", "s2"], ["t1", "t2", "t3"], ["u1"]]
-    assert counts["articles"] == 3
