@@ -31,6 +31,11 @@ class EncodingError(CorpusError):
         super().__init__(f"invalid UTF-8 in source '{source_id}' at line {line_no}" + (f": {detail}" if detail else ""))
 
 
+def line_terminator_error(source_id: str, line_no: int, text: str) -> ValueError:
+    """The error for a line that still holds a CR or LF once its own terminator is stripped."""
+    return ValueError(f"{source_id}:{line_no}: record text contains a line terminator: {text!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SentenceRecord:
     """One corpus line plus provenance.
@@ -45,8 +50,7 @@ class SentenceRecord:
 
     def __post_init__(self):
         if "\n" in self.text or "\r" in self.text:
-            raise ValueError(f"{self.source_id}:{self.line_no}: record text contains a line terminator: "
-                             f"{self.text!r}")
+            raise line_terminator_error(self.source_id, self.line_no, self.text)
         if self.line_no < 1:
             raise ValueError(f"line_no must be >= 1, got {self.line_no}")
 

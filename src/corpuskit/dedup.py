@@ -15,7 +15,6 @@ index alone for the survivors.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import tempfile
 from dataclasses import dataclass
@@ -24,7 +23,14 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .core import decoded_lines
+from .core import decoded_lines, line_terminator_error
+
+try:
+    # CPython's built-in BLAKE2b; hashlib's is the same function, but importing
+    # hashlib also loads OpenSSL's libcrypto, about 3.5 MiB of RSS per process.
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the module
+    from hashlib import blake2b
 
 DIGEST_BYTES = 16  # 128 bits; collision odds are negligible at web-corpus scale
 _INDEX_BYTES = 8  # big-endian, so bytewise order is numeric order
@@ -32,7 +38,7 @@ _INDEX_BYTES = 8  # big-endian, so bytewise order is numeric order
 
 def dedup_key(text: str) -> bytes:
     """128-bit content digest of the normalized line. Equal text, equal key."""
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=DIGEST_BYTES).digest()
+    return blake2b(text.encode("utf-8"), digest_size=DIGEST_BYTES).digest()
 
 
 @dataclass
@@ -49,11 +55,16 @@ class DedupSummary:
 
 
 def _iter_file_lines(paths: list[Path | str]) -> Iterator[str]:
-    """Normalized lines of the concatenated input files; blanks are skipped."""
+    """Normalized lines of the concatenated input files, blanks included. A
+    lone CR inside a line raises ValueError naming the file and line, as the
+    corpus readers do."""
     for path in paths:
         with open(path, "rb") as f:
-            for _, line in decoded_lines(f, str(path)):
-                yield line.strip()
+            for line_no, line in decoded_lines(f, str(path)):
+                text = line.strip()
+                if "\r" in text:
+                    raise line_terminator_error(path, line_no, text)
+                yield text
 
 
 def dedup_lines(paths: list[Path | str], out_path: Path | str) -> DedupSummary:

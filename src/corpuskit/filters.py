@@ -155,14 +155,24 @@ def _punct_run_candidates(punct_run_max: int) -> re.Pattern:
     return re.compile(f"{_PUNCT_CANDIDATES}{{{min(max(punct_run_max, 0), 65535) + 1},}}")
 
 
+# Byte table for ASCII lines: ASCII punctuation maps to 0, every other byte to 1.
+_PUNCT_ZEROS = bytes(0 if chr(b) in _ASCII_PUNCT else 1 for b in range(256))
+
+
 def filter_punct_run(text: str, cfg: FilterConfig) -> FilterVerdict:
     """Reject tokens like "///": more than punct_run_max consecutive punctuation
     codepoints, identical or not.
 
     No whitespace codepoint is punctuation, so a run never crosses tokens and
-    the whole line can be scanned at once. Only maximal runs of candidate
-    codepoints long enough to hold a rejected run are counted one by one.
+    the whole line can be scanned at once. An ASCII line is mapped through a
+    byte table and searched for a rejected run of zeros; the run length is
+    clamped to one more than the line, where it can never be found. Other
+    lines count only maximal runs of candidate codepoints long enough to hold
+    a rejected run, one by one.
     """
+    if text.isascii():
+        zeros = b"\0" * min(max(cfg.punct_run_max, 0) + 1, len(text) + 1)
+        return _REJECT_PUNCT_RUN if zeros in text.encode("ascii").translate(_PUNCT_ZEROS) else PASS
     for m in _punct_run_candidates(cfg.punct_run_max).finditer(text):
         run = 0
         for ch in m.group():
@@ -189,8 +199,11 @@ def filter_avg_word_len(text: str, cfg: FilterConfig) -> FilterVerdict:
 
 
 @functools.lru_cache(maxsize=16)
-def _lowered(patterns: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(p.lower() for p in patterns)
+def _html_alternation(patterns: tuple[str, ...]) -> re.Pattern:
+    """One regex that matches exactly where some lowered pattern occurs. With
+    no pattern the alternation would be empty and match everywhere, so (?!),
+    which matches nowhere, stands in."""
+    return re.compile("|".join(re.escape(p.lower()) for p in patterns) if patterns else "(?!)")
 
 
 def filter_html(text: str, cfg: FilterConfig) -> FilterVerdict:
@@ -200,15 +213,12 @@ def filter_html(text: str, cfg: FilterConfig) -> FilterVerdict:
     lowers each token as if alone (final sigma included): a pattern absent
     from the lowered line is absent from every lowered token.
     """
-    patterns = _lowered(cfg.html_patterns)
-    low = text.lower()
-    if not any(p in low for p in patterns):
+    search = _html_alternation(cfg.html_patterns).search
+    if not search(text.lower()):
         return PASS
     for token in text.split():
-        low = token.lower()
-        for p in patterns:
-            if p in low:
-                return _REJECT_HTML
+        if search(token.lower()):
+            return _REJECT_HTML
     return PASS
 
 

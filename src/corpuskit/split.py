@@ -14,7 +14,6 @@ shares: a repeated key or a true collision.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import sys
 from array import array
@@ -26,13 +25,14 @@ from operator import eq
 from typing import Callable, Iterable, Sequence
 
 from .core import SentenceRecord
+from .dedup import blake2b
 
 _KEY_SEP = "\x1f"
 
 
 def _keyed_blake2b(seed: int):
     """The keyed 8-byte BLAKE2b state of seed, before any message byte."""
-    return hashlib.blake2b(key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"), digest_size=8)
+    return blake2b(key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"), digest_size=8)
 
 
 def seeded_hash64(seed: int, data: str) -> int:

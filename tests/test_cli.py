@@ -120,6 +120,22 @@ def test_filter_names_the_line_of_an_interior_carriage_return(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode", [[], ["--external-sort"]], ids=["in-memory", "external"])
+def test_dedup_names_the_line_of_an_interior_carriage_return(tmp_path, capsys, mode):
+    # each input numbers its own lines: the CR is on line 1 of the second file
+    good, bad = tmp_path / "good.txt", tmp_path / "cr.txt"
+    good.write_bytes(b"one two three four\n")
+    bad.write_bytes(b"one two three four\rfive six seven\nsecond line here now\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "out.txt"
+    out.write_text("keep me\n", encoding="utf-8")
+    assert run_cli("dedup", "--in", good, bad, "--out", out, *mode, "--tmp", work) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [dedup] {bad}:1: record text contains a line terminator") and err.count("\n") == 1
+    assert os.listdir(work) == ["out.txt"] and out.read_text(encoding="utf-8") == "keep me\n"
+
+
 def test_dedup_command_prints_summary(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("a\nb\na\n", encoding="utf-8")

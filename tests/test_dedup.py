@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -33,6 +34,12 @@ def test_key_is_case_sensitive():
 
 def test_key_width():
     assert len(dedup_key("x")) == 16
+
+
+def test_key_is_unkeyed_blake2b_of_the_utf8_bytes():
+    # the in-memory and external modes, and every dedup across runs, rely on these exact digests
+    for text in ("", "x", "Kamusta po", "kamusta é", "漢字\x1f"):
+        assert dedup_key(text) == hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
 
 
 def test_keep_first_basic(tmp_path):

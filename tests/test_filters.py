@@ -92,6 +92,23 @@ def test_punct_run_does_not_cross_tokens():
     assert filter_punct_run(".. ..", CFG).passed
 
 
+def test_punct_run_ascii_table_agrees_with_is_punct():
+    # every ASCII codepoint, run lengths around each threshold, alone and
+    # inside a token; a run as long as the line itself is found, one longer is not
+    for cp in range(0x80):
+        for n in range(1, 5):
+            for text in (chr(cp) * n, "a" + chr(cp) * n + "b"):
+                for limit in range(-1, 5):
+                    cfg = FilterConfig(punct_run_max=limit)
+                    assert filter_punct_run(text, cfg).passed == oracles.reference_punct_run(text, cfg), \
+                        (hex(cp), n, text, limit)
+
+
+def test_punct_run_huge_threshold_passes():
+    for text in ("!!!!", "¡¡¡¡", ""):
+        assert filter_punct_run(text, FilterConfig(punct_run_max=10**15)).passed
+
+
 def test_avg_word_len_examples():
     assert not filter_avg_word_len("hi to me an", CFG).passed  # 8/4 = 2.0
     assert not filter_avg_word_len("a" * 20, CFG).passed  # 20 > 18
@@ -108,6 +125,22 @@ def test_html_examples():
 def test_html_case_insensitive():
     assert not filter_html("VISIT WWW.SITE.PH NOW", CFG).passed
     assert not filter_html("a HREF=x b", CFG).passed
+
+
+def test_html_patterns_are_lowered_too():
+    cfg = FilterConfig(html_patterns=("HREF=", "WWW.", "Σ"))
+    assert not filter_html("a href=x b", cfg).passed
+    assert not filter_html("see Www.site now", cfg).passed
+    assert not filter_html("ΣΟΦΙΑ here", cfg).passed
+    assert filter_html("ΟΔΟΣ here", cfg).passed  # a word-final capital sigma lowers to ς, not σ
+    assert filter_html("plain words only", cfg).passed
+
+
+def test_html_no_pattern_matches_nothing_and_an_empty_pattern_matches_every_token():
+    # validate refuses both configs, yet the verdicts follow the per-token reference
+    assert filter_html("visit http://example.org now", FilterConfig(html_patterns=())).passed
+    assert not filter_html("!", FilterConfig(html_patterns=("",))).passed
+    assert filter_html(" ", FilterConfig(html_patterns=("",))).passed  # no token
 
 
 @pytest.mark.parametrize("pattern", FilterConfig().html_patterns)

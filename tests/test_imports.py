@@ -6,9 +6,14 @@ typing name, a record type). The package's __init__ is left out: importing
 names there is how it exports them. Input lines are decoded in one place,
 core.decoded_lines, so that every reader numbers lines and reports bad
 UTF-8 the same way; a `.decode(...)` call anywhere else is a second decoder.
+No command loads hashlib: BLAKE2b comes from CPython's built-in _blake2, since
+importing hashlib also loads OpenSSL's libcrypto.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +66,43 @@ def test_the_check_sees_a_decode_call():
     tree = ast.parse("def f(raw, model):\n    decode(model, [1])\n    bpe.decode(model, [1])\n"
                      "    return raw.strip().decode('utf-8')\n")
     assert _decode_calls(tree) == [4]
+
+
+def _run_python(code: str, *args) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True,
+                          text=True, encoding="utf-8", check=True)
+    return done.stdout
+
+
+def test_no_command_loads_hashlib(tmp_path):
+    pytest.importorskip("_blake2")
+    src = tmp_path / "in.txt"
+    src.write_text("one two\nthree four\none two\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "import corpuskit\n"
+        "from corpuskit import cli\n"
+        "src, tmp = sys.argv[1:]\n"
+        "assert cli.main(['dedup', '--in', src, '--out', tmp + '/d.txt', '--external-sort', '--tmp', tmp]) == 0\n"
+        "assert cli.main(['split', '--in', src, '--ratio', '0.5', '--seed', '1', '--unit', 'line',\n"
+        "                 '--out-a', tmp + '/a.txt', '--out-b', tmp + '/b.txt']) == 0\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+    )
+    assert _run_python(code, src, tmp_path).splitlines()[-1] == "[]"
+    assert (tmp_path / "d.txt").read_text(encoding="utf-8") == "one two\nthree four\n"
+
+
+def test_hashes_are_the_same_through_the_hashlib_fallback():
+    # Where `from _blake2 import blake2b` fails, corpuskit takes hashlib's
+    # BLAKE2b. On CPython hashlib's is the built-in one, so hashlib is loaded
+    # before the module is blocked.
+    code = (
+        "import sys\n"
+        "if sys.argv[1] == 'fallback':\n"
+        "    import hashlib\n"
+        "    sys.modules['_blake2'] = None\n"
+        "from corpuskit import dedup, split\n"
+        "print(dedup.dedup_key('kamusta é').hex(), split.seeded_hash64(7, 'web\\x1f17'), list(split._hash_keys(7, 'ab')))\n"
+    )
+    assert _run_python(code, "fallback") == _run_python(code, "builtin")
