@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -63,7 +63,7 @@ class BpeModel:
     merges: list[tuple[str, str]]
     vocab: dict[str, int]  # subword -> id, specials included
     special_tokens: list[str]
-    config: TokenizerConfig = field(default_factory=TokenizerConfig)
+    character_coverage: float = 1.0  # the trained share of character occurrences
 
     def __post_init__(self) -> None:
         # Derived lookups, built once per instance and never persisted. The
@@ -310,7 +310,7 @@ def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:
         merges.append(pair)
         vocab.setdefault(pair[0] + pair[1], len(vocab))
 
-    return BpeModel(merges=merges, vocab=vocab, special_tokens=specials, config=cfg)
+    return BpeModel(merges, vocab, specials, cfg.character_coverage)
 
 
 def _segment_word(word: str, model: BpeModel) -> tuple[int, ...]:
@@ -388,28 +388,23 @@ def add_special_tokens(model: BpeModel, tokens: Sequence[str]) -> BpeModel:
         vocab[tok] = next_id
         specials.append(tok)
         next_id += 1
-    return BpeModel(
-        merges=list(model.merges),
-        vocab=vocab,
-        special_tokens=specials,
-        config=model.config,
-    )
+    return replace(model, merges=list(model.merges), vocab=vocab, special_tokens=specials)
 
 
 # ---------------------------------------------------------------------------
-# Model files: a merges file with a header line recording the conventions,
-# one "left right" pair per line (rank = line order), and a vocab file with
-# one "subword<TAB>id" per line. Load/save round-trips are byte-stable.
+# Model files: a merges file with a header line recording the conventions and
+# the vocabulary's size, one "left right" pair per line (rank = line order),
+# and a vocab file with one "subword<TAB>id" per line. Load/save round-trips
+# are byte-stable.
 
 _HEADER_PREFIX = "#corpuskit-bpe v1"
 _HEADER_FIELDS = ("marker", "vocab_size", "coverage", "specials")
 
 
 def save_model(model: BpeModel, merges_path: Path | str, vocab_path: Path | str) -> None:
-    cfg = model.config
     header = (
         f"{_HEADER_PREFIX}\tmarker={WORD_END}"
-        f"\tvocab_size={cfg.vocab_size}\tcoverage={cfg.character_coverage!r}"
+        f"\tvocab_size={len(model.vocab)}\tcoverage={model.character_coverage!r}"
         f"\tcased=true\tspecials={' '.join(model.special_tokens)}"
     )
     with open(merges_path, "w", encoding="utf-8", newline="\n") as f:
@@ -433,7 +428,8 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
     """Read a model written by save_model. A missing header field, a line
     that is not two fields, an id that is not an integer, an id or subword
     listed twice, and a merge whose output is not in the vocabulary raise
-    ValueError naming the file and line."""
+    ValueError naming the file and line. The header's vocab_size must be an
+    integer; the vocabulary file, not the header, gives the model's size."""
     with open(merges_path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith(_HEADER_PREFIX):
@@ -445,11 +441,13 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
         if fields["marker"] != WORD_END:
             raise ValueError(f"{merges_path}:1: end-of-word marker {fields['marker']!r} is not {WORD_END!r}")
         try:
-            vocab_size, coverage = int(fields["vocab_size"]), float(fields["coverage"])
+            int(fields["vocab_size"])
+            coverage = float(fields["coverage"])
         except ValueError as e:
             raise ValueError(f"{merges_path}:1: {e}") from None
         merges = [_two_fields(merges_path, line_no, line, " ") for line_no, line in enumerate(f, 2)]
     vocab: dict[str, int] = {}
+    ids: set[int] = set()
     with open(vocab_path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             sub, idx = _two_fields(vocab_path, line_no, line, "\t")
@@ -459,25 +457,15 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
                 raise ValueError(f"{vocab_path}:{line_no}: id {idx!r} is not an integer") from None
             if sub in vocab:
                 raise ValueError(f"{vocab_path}:{line_no}: subword {sub!r} is listed twice")
+            if i in ids:
+                raise ValueError(f"{vocab_path}:{line_no}: id {i} is listed twice")
             vocab[sub] = i
+            ids.add(i)
     specials = fields["specials"].split(" ")
     missing = [tok for tok in specials if tok not in vocab]
     if missing:
         raise ValueError(f"{vocab_path}: special tokens missing from the vocabulary: {' '.join(missing)}")
-    cfg = TokenizerConfig(vocab_size=vocab_size, character_coverage=coverage, special_tokens=tuple(specials))
-    model = BpeModel(
-        merges=merges,
-        vocab=vocab,
-        special_tokens=specials,
-        config=cfg,
-    )
-    if len(model._id_to_subword) < len(vocab):  # an id is listed twice
-        # each line added one entry, so the entry's position is its line
-        seen: set[int] = set()
-        for line_no, i in enumerate(vocab.values(), 1):
-            if i in seen:
-                raise ValueError(f"{vocab_path}:{line_no}: id {i} is listed twice")
-            seen.add(i)
+    model = BpeModel(merges, vocab, specials, coverage)
     # A merge output spelling the unknown token is that token; any other one
     # that maps to the unknown id is missing from the vocabulary.
     unk_id = model.unk_id

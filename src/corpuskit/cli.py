@@ -206,7 +206,7 @@ def cmd_encode_labels(args) -> int:
                 continue
             flags = [v.strip() for v in line.split(",")]
             if len(flags) != N_FLAGS or any(v not in ("0", "1") for v in flags):
-                raise CorpusError(f"{args.infile}:{ln}: expected 5 binary columns, got {line!r}")
+                raise CorpusError(f"{args.infile}:{ln}: expected {N_FLAGS} binary columns, got {line!r}")
             out.write(f"{encode_label_flags([int(v) for v in flags])}\n")
             n += 1
     print(f"encoded={n}", file=sys.stderr)
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", help="read a plain or bilingual corpus, emit one sentence per line")
     sp.add_argument("inputs", nargs="+", help="input file(s); paired format takes two")
-    sp.add_argument("--format", choices=("plain", "tsv", "paired"), default="plain")
-    sp.add_argument("--side", choices=("source", "target"), default="target")
+    sp.add_argument("--format", choices=pipeline.SOURCE_FORMATS, default="plain")
+    sp.add_argument("--side", choices=[side.value for side in Side], default="target")
     sp.add_argument("--source-id", default="corpus")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_ingest)
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--ratio", type=float, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--unit", choices=("line", "document"), default="document",
+    sp.add_argument("--unit", choices=[unit.value for unit in SplitUnit], default="document",
                     help="document = blank-line separated block")
     sp.add_argument("--out-a", required=True)
     sp.add_argument("--out-b", required=True)

@@ -23,14 +23,12 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .core import decoded_lines, line_terminator_error
+# CPython's built-in BLAKE2b. hashlib.blake2b is this same function, but
+# importing hashlib also loads OpenSSL's libcrypto, about 3.5 MiB of RSS per
+# process.
+from _blake2 import blake2b
 
-try:
-    # CPython's built-in BLAKE2b; hashlib's is the same function, but importing
-    # hashlib also loads OpenSSL's libcrypto, about 3.5 MiB of RSS per process.
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without the module
-    from hashlib import blake2b
+from .core import decoded_lines, line_terminator_error
 
 DIGEST_BYTES = 16  # 128 bits; collision odds are negligible at web-corpus scale
 _INDEX_BYTES = 8  # big-endian, so bytewise order is numeric order

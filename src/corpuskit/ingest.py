@@ -18,7 +18,7 @@ from itertools import groupby, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import SentenceRecord, decoded_lines
+from .core import SentenceRecord, decoded_lines, line_terminator_error
 
 
 # Counter keys the readers skip lines under, with their names in the build report.
@@ -113,9 +113,18 @@ def extract_bitext_side(
 
 
 def read_articles(lines: Iterable[bytes], source_id: str = "articles") -> Iterator[list[str]]:
-    """Blank-line separated blocks of sentences, e.g. one news article each."""
-    texts = (line.strip() for _, line in decoded_lines(lines, source_id))
-    for nonblank, block in groupby(texts, key=bool):
+    """Blank-line separated blocks of sentences, e.g. one news article each.
+    A sentence holding a CR raises ValueError naming the file and line."""
+    name = str(getattr(lines, "name", source_id))
+
+    def texts() -> Iterator[str]:
+        for line_no, line in decoded_lines(lines, source_id):
+            text = line.strip()
+            if "\r" in text:
+                raise line_terminator_error(name, line_no, text)
+            yield text
+
+    for nonblank, block in groupby(texts(), key=bool):
         if nonblank:
             yield list(block)
 

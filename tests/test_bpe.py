@@ -440,6 +440,35 @@ def test_save_load_roundtrip(tmp_path):
     assert v2.read_bytes() == v1.read_bytes()
 
 
+
+def test_saved_header_describes_the_model_after_added_specials(tmp_path):
+    grown = add_special_tokens(toy_model(5), ["<cls>", "<sep>"])
+    merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
+    save_model(grown, merges, vocab)
+    header = dict(part.partition("=")[::2] for part in merges.read_text(encoding="utf-8").split("\n")[0].split("\t"))
+    assert int(header["vocab_size"]) == len(vocab.read_text(encoding="utf-8").splitlines()) == 32
+    assert load_model(merges, vocab).special_tokens == [*DEFAULT_SPECIALS, "<cls>", "<sep>"]
+
+
+def test_header_vocab_size_is_not_compared_with_the_vocabulary(tmp_path):
+    # an older save of a grown model recorded the trained size, not the vocabulary's
+    model = add_special_tokens(toy_model(5), ["<cls>"])
+    merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
+    save_model(model, merges, vocab)
+    merges.write_text(merges.read_text(encoding="utf-8").replace("vocab_size=31", "vocab_size=30", 1), encoding="utf-8")
+    assert load_model(merges, vocab).vocab == model.vocab
+    merges.write_text(merges.read_text(encoding="utf-8").replace("vocab_size=30", "vocab_size=many", 1),
+                      encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.txt:1: invalid literal for int"):
+        load_model(merges, vocab)
+
+
+def test_character_coverage_survives_a_save_and_load(tmp_path):
+    corpus = ["a" * 90 + " " + "b" * 9 + " c"]
+    model = learn_bpe(corpus, TokenizerConfig(vocab_size=len(DEFAULT_SPECIALS) + 4, character_coverage=0.99))
+    save_model(model, tmp_path / "m", tmp_path / "v")
+    assert model.character_coverage == load_model(tmp_path / "m", tmp_path / "v").character_coverage == 0.99
+
 def test_load_model_names_specials_missing_from_vocab(tmp_path):
     merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
     save_model(toy_model(5), merges, vocab)

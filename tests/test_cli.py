@@ -136,6 +136,26 @@ def test_dedup_names_the_line_of_an_interior_carriage_return(tmp_path, capsys, m
     assert os.listdir(work) == ["out.txt"] and out.read_text(encoding="utf-8") == "keep me\n"
 
 
+
+@pytest.mark.parametrize("command, outputs", [
+    (["split", "--ratio", 0.5, "--seed", 1, "--unit", "document"], ["--out-a", "--out-b"]),
+    (["make-nli", "--seed", 1], ["--out"]),
+], ids=["split-document", "make-nli"])
+def test_article_readers_name_the_line_of_an_interior_carriage_return(tmp_path, capsys, command, outputs):
+    bad = tmp_path / "cr.txt"
+    bad.write_bytes(b"one two three four\rfive six\nsecond sentence here now\n\n"
+                    b"other article line one\nother article line two\n")
+    paths = [tmp_path / f"out{i}.txt" for i in range(len(outputs))]
+    for path in paths:
+        path.write_text("keep me\n", encoding="utf-8")
+    flags = [arg for flag, path in zip(outputs, paths) for arg in (flag, path)]
+    assert run_cli(*command, "--in", bad, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{command[0]}] {bad}:1: record text contains a line terminator")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["cr.txt", *(p.name for p in paths)]
+    assert all(path.read_text(encoding="utf-8") == "keep me\n" for path in paths)
+
 def test_dedup_command_prints_summary(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("a\nb\na\n", encoding="utf-8")

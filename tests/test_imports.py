@@ -76,7 +76,6 @@ def _run_python(code: str, *args) -> str:
 
 
 def test_no_command_loads_hashlib(tmp_path):
-    pytest.importorskip("_blake2")
     src = tmp_path / "in.txt"
     src.write_text("one two\nthree four\none two\n", encoding="utf-8")
     code = (
@@ -92,17 +91,3 @@ def test_no_command_loads_hashlib(tmp_path):
     assert _run_python(code, src, tmp_path).splitlines()[-1] == "[]"
     assert (tmp_path / "d.txt").read_text(encoding="utf-8") == "one two\nthree four\n"
 
-
-def test_hashes_are_the_same_through_the_hashlib_fallback():
-    # Where `from _blake2 import blake2b` fails, corpuskit takes hashlib's
-    # BLAKE2b. On CPython hashlib's is the built-in one, so hashlib is loaded
-    # before the module is blocked.
-    code = (
-        "import sys\n"
-        "if sys.argv[1] == 'fallback':\n"
-        "    import hashlib\n"
-        "    sys.modules['_blake2'] = None\n"
-        "from corpuskit import dedup, split\n"
-        "print(dedup.dedup_key('kamusta é').hex(), split.seeded_hash64(7, 'web\\x1f17'), list(split._hash_keys(7, 'ab')))\n"
-    )
-    assert _run_python(code, "fallback") == _run_python(code, "builtin")

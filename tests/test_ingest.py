@@ -126,3 +126,10 @@ def test_read_articles_blank_line_blocks():
     lines = [b"s1\n", b"s2\n", b"\n", b"t1\n", b"t2\n", b"t3\n", b"\n", b"\n", b"u1\n"]
     arts = list(read_articles(lines))
     assert arts == [["s1", "s2"], ["t1", "t2", "t3"], ["u1"]]
+
+
+def test_read_articles_refuses_a_lone_carriage_return():
+    # a CR-LF terminator is stripped; a CR inside the line is not one
+    assert list(read_articles([b"s1\r\n", b"s2\n"])) == [["s1", "s2"]]
+    with pytest.raises(ValueError, match=r"^news:2: record text contains a line terminator: 's2\\rs3'$"):
+        list(read_articles([b"s1\n", b"s2\rs3\n"], "news"))
