@@ -10,16 +10,13 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import os
-import stat
 import sys
-import tempfile
 from collections import Counter
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import bpe, dedup, nli, pipeline, tweets
-from .core import CorpusError, decoded_lines
+from .core import CorpusError, decoded_lines, line_terminator_error, staged_outputs
 from .filters import FilterConfig, apply_filters
 from .ingest import (
     SKIP_KINDS,
@@ -33,31 +30,8 @@ from .labels import N_FLAGS, encode_label_flags
 from .split import SplitConfig, SplitUnit, split_articles, split_corpus
 
 
-@contextmanager
-def _replaced_on_success(path: str):
-    """A temporary path beside path, moved onto it only if the block succeeds, so a failed
-    command keeps the earlier output. Only a new path or a regular file with one link is
-    staged; a symlink, a device, or a file in a directory that takes no new file is written in place."""
-    st = os.lstat(path) if os.path.lexists(path) else None
-    staging = None
-    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
-        with suppress(OSError):  # opening the path itself then names the output in its error
-            staging = tempfile.TemporaryDirectory(prefix=".corpuskit-", dir=os.path.dirname(os.path.abspath(path)))
-    if staging is None:
-        yield path
-        return
-    with staging as tmp:
-        staged = os.path.join(tmp, "out")
-        yield staged
-        if st:
-            os.chmod(staged, stat.S_IMODE(st.st_mode))
-        os.replace(staged, path)
-
-
-@contextmanager
-def _open_out(path: str):
-    with _replaced_on_success(path) as staged, open(staged, "w", encoding="utf-8", newline="\n") as out:
-        yield out
+def _open_out(stage, path: str):
+    return open(stage(path), "w", encoding="utf-8", newline="\n")
 
 
 def cmd_ingest(args) -> int:
@@ -67,9 +41,9 @@ def cmd_ingest(args) -> int:
         raise CorpusError(f"{args.format} format takes exactly one input file")
     counts: Counter = Counter()
     n = 0
-    with ExitStack() as stack:
+    with staged_outputs() as stage, ExitStack() as stack:
         files = [stack.enter_context(open(path, "rb")) for path in args.inputs]
-        out = stack.enter_context(_open_out(args.out))
+        out = stack.enter_context(_open_out(stage, args.out))
         if args.format == "plain":
             records = read_plain_corpus(files[0], args.source_id, counts)
         else:
@@ -98,7 +72,8 @@ def cmd_filter(args) -> int:
     counts: Counter = Counter()
     kept = 0
     rejected: Counter = Counter()
-    with open(args.infile, "rb") as f, _open_out(args.out) as out, _open_out(args.rejects) as rej:
+    with (staged_outputs() as stage, open(args.infile, "rb") as f, _open_out(stage, args.out) as out,
+          _open_out(stage, args.rejects) as rej):
         for rec in read_plain_corpus(f, args.infile, counts):
             verdict = apply_filters(rec.text, cfg)
             if verdict.passed:
@@ -114,11 +89,11 @@ def cmd_filter(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    with _replaced_on_success(args.out) as out:
+    with staged_outputs() as stage:
         if args.external_sort:
-            summary = dedup.dedup_files(args.inputs, out, tmp_dir=args.tmp)
+            summary = dedup.dedup_files(args.inputs, stage(args.out), tmp_dir=args.tmp)
         else:
-            summary = dedup.dedup_lines(args.inputs, out)
+            summary = dedup.dedup_lines(args.inputs, stage(args.out))
     print(summary.line())
     return 0
 
@@ -146,7 +121,7 @@ def cmd_split(args) -> int:
 
         def render(rec):
             return rec.text + "\n"
-    with _open_out(args.out_a) as out_a, _open_out(args.out_b) as out_b:
+    with staged_outputs() as stage, _open_out(stage, args.out_a) as out_a, _open_out(stage, args.out_b) as out_b:
         for out, side in zip((out_a, out_b), sides):
             out.writelines(map(render, side))
     print(f"units={len(units)} a={len(sides[0])} b={len(sides[1])}", file=sys.stderr)
@@ -166,15 +141,17 @@ def cmd_train_bpe(args) -> int:
                 yield from (line for _, line in decoded_lines(f, path))
 
     model = bpe.learn_bpe(texts(), cfg)
-    with _replaced_on_success(args.merges_out) as merges, _replaced_on_success(args.vocab_out) as vocab:
-        bpe.save_model(model, merges, vocab)
+    # Merges commit first: load_model refuses new merges whose outputs the old
+    # vocabulary lacks, but would load a new vocabulary beside the old merges.
+    with staged_outputs() as stage:
+        bpe.save_model(model, stage(args.merges_out), stage(args.vocab_out))
     print(f"vocab={len(model.vocab)} merges={len(model.merges)}", file=sys.stderr)
     return 0
 
 
 def cmd_encode(args) -> int:
     model = bpe.load_model(args.merges, args.vocab)
-    with open(args.infile, "rb") as f, _open_out(args.out) as out:
+    with staged_outputs() as stage, open(args.infile, "rb") as f, _open_out(stage, args.out) as out:
         for _, line in decoded_lines(f, args.infile):
             out.write(" ".join(map(str, bpe.encode(model, line))) + "\n")
     return 0
@@ -182,14 +159,16 @@ def cmd_encode(args) -> int:
 
 def cmd_prep_tweets(args) -> int:
     n = 0
-    with open(args.infile, "rb") as f, _open_out(args.out) as out:
-        for _, line in decoded_lines(f, args.infile):
+    with staged_outputs() as stage, open(args.infile, "rb") as f, _open_out(stage, args.out) as out:
+        for ln, line in decoded_lines(f, args.infile):
             line = line.rstrip("\r\n")
             if not line:
                 continue
             text, sep, label = line.rpartition("\t")
             if not sep:  # no label column, clean the whole line
                 text, label = line, None
+            elif "\r" in label:  # the label is copied out as it is; the text is rejoined as tokens
+                raise line_terminator_error(args.infile, ln, line)
             cleaned = tweets.preprocess_tweet(text)
             out.write(cleaned + ("\t" + label if label is not None else "") + "\n")
             n += 1
@@ -199,7 +178,7 @@ def cmd_prep_tweets(args) -> int:
 
 def cmd_encode_labels(args) -> int:
     n = 0
-    with open(args.infile, "rb") as f, _open_out(args.out) as out:
+    with staged_outputs() as stage, open(args.infile, "rb") as f, _open_out(stage, args.out) as out:
         for ln, line in decoded_lines(f, args.infile):
             line = line.strip()
             if not line:
@@ -218,7 +197,7 @@ def cmd_make_nli(args) -> int:
 
     articles = list(read_articles_file(args.infile))
     result = nli.make_nli_pairs(articles, args.seed, premise_first=not args.later_as_premise)
-    with _open_out(args.out) as out:
+    with staged_outputs() as stage, _open_out(stage, args.out) as out:
         for pair in result.pairs:
             premise = pair.premise.replace("\t", " ")
             hypothesis = pair.hypothesis.replace("\t", " ")

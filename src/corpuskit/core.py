@@ -1,5 +1,5 @@
 """Shared text model: the line decoder, sentence records, errors and filter
-verdicts.
+verdicts, and the one path that commits output files.
 
 One "line" is one sentence: a physical line of the input with its
 terminator and surrounding whitespace stripped (``str.strip()``) and every
@@ -14,8 +14,12 @@ alphabet.
 from __future__ import annotations
 
 import enum
+import os
+import stat
+import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class CorpusError(Exception):
@@ -90,3 +94,35 @@ def decoded_lines(lines: Iterable[bytes], source_id: str) -> Iterator[tuple[int,
             yield line_no, raw.decode("utf-8")
         except UnicodeDecodeError as e:
             raise EncodingError(str(getattr(lines, "name", source_id)), line_no, str(e)) from None
+
+
+@contextmanager
+def staged_outputs() -> Iterator[Callable[[str | os.PathLike], str]]:
+    """Yield stage(path), which returns where to write path's new content.
+
+    A new path or a regular file with one link is staged in a unique
+    .corpuskit-* directory beside it; a symlink, a device, a hard-linked file,
+    or a path whose directory takes no new entry is written in place. Once the
+    block succeeds, each staged file takes the old file's permission bits and
+    replaces its path, in the order staged. Every staging directory is
+    removed, on success and on failure.
+    """
+    commits: list[tuple[str, str, os.stat_result | None]] = []
+    with ExitStack() as stack:
+        def stage(path: str | os.PathLike) -> str:
+            path = os.fspath(path)
+            st = os.lstat(path) if os.path.lexists(path) else None
+            if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+                with suppress(OSError):  # opening the path itself then names the output in its error
+                    tmp = stack.enter_context(tempfile.TemporaryDirectory(
+                        prefix=".corpuskit-", dir=os.path.dirname(os.path.abspath(path))))
+                    staged = os.path.join(tmp, os.path.basename(path))
+                    commits.append((staged, path, st))
+                    return staged
+            return path
+
+        yield stage
+        for staged, path, st in commits:
+            if st:
+                os.chmod(staged, stat.S_IMODE(st.st_mode))
+            os.replace(staged, path)

@@ -3,8 +3,10 @@
 One declarative INI config drives the whole run, and one top-level seed
 feeds every randomized stage through named sub-seeds, so a build is fully
 reproducible: identical inputs and config give byte-identical outputs.
-Outputs are staged in a temporary directory and moved into place only on
-success; a failed run never clobbers a previous build.
+Outputs are committed through core.staged_outputs: nothing replaces a
+previous build until every file is written, and then the files are moved
+into place in a fixed order with stats.jsonl, the mark of a complete set,
+last. A failed run never clobbers a previous build.
 
 Persisted statistics are deterministic counters only (wall time goes to the
 log, never into the report), and every stage satisfies the conservation
@@ -17,7 +19,6 @@ import configparser
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
-from .core import CorpusError, SentenceRecord
+from .core import CorpusError, SentenceRecord, staged_outputs
 from .dedup import dedup_key
 from .filters import FilterConfig, apply_filters
 from .ingest import (
@@ -110,12 +111,7 @@ class PipelineStats:
     stages: list[StageStats] = field(default_factory=list)
 
     def conservation_errors(self) -> list[str]:
-        errors = []
-        for s in self.stages:
-            e = s.conservation_error()
-            if e:
-                errors.append(e)
-        return errors
+        return [e for e in map(StageStats.conservation_error, self.stages) if e]
 
     def total(self, stage: str, attr: str) -> int:
         return sum(getattr(s, attr) for s in self.stages if s.stage == stage)
@@ -266,19 +262,19 @@ def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecor
             yield from extract_bitext_side(pairs, spec.side, spec.source_id, counts)
 
 
-def _write_lines(path: Path, records: Iterable[SentenceRecord]) -> None:
+def _write_lines(path: str, records: Iterable[SentenceRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for rec in records:
             f.write(rec.text + "\n")
 
 
-def _ingest_filter_dedup(cfg: PipelineConfig, tmp_dir: Path, stats: PipelineStats) -> list[SentenceRecord]:
+def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, stats: PipelineStats) -> list[SentenceRecord]:
     """Stream each source, in config order, through the filters and one
     keep-first dedup shared by all sources; filter rejects go to rejects.tsv."""
     seen: set[bytes] = set()
     kept: list[SentenceRecord] = []
     dedup_stats: list[StageStats] = []
-    with open(tmp_dir / "rejects.tsv", "w", encoding="utf-8", newline="\n") as rejects_file:
+    with open(rejects_path, "w", encoding="utf-8", newline="\n") as rejects_file:
         for spec in cfg.sources:
             counts: Counter = Counter()
             filter_rejects: Counter = Counter()
@@ -300,9 +296,7 @@ def _ingest_filter_dedup(cfg: PipelineConfig, tmp_dir: Path, stats: PipelineStat
             except (CorpusError, OSError, ValueError) as e:
                 raise PipelineError("ingest", str(e), spec.source_id) from e
 
-            bytes_in = Path(spec.path).stat().st_size
-            if spec.path2 is not None:
-                bytes_in += Path(spec.path2).stat().st_size
+            bytes_in = sum(os.stat(p).st_size for p in (spec.path, spec.path2) if p is not None)
             ingest_rejects = {name: counts[key] for key, name in SKIP_KINDS.items() if counts[key]}
             stats.stages.append(StageStats("ingest", spec.source_id, lines_in=counts["lines"],
                                            lines_out=n_records, rejects=ingest_rejects, bytes_in=bytes_in))
@@ -314,12 +308,12 @@ def _ingest_filter_dedup(cfg: PipelineConfig, tmp_dir: Path, stats: PipelineStat
     return kept
 
 
-def _split(cfg: PipelineConfig, kept: list[SentenceRecord], tmp_dir: Path,
+def _split(cfg: PipelineConfig, kept: list[SentenceRecord], path_a: str, path_b: str,
            stats: PipelineStats) -> list[SentenceRecord]:
-    """Write split_a.txt and split_b.txt; return side A, the pretraining side."""
+    """Write the two sides to path_a and path_b; return side A, the pretraining side."""
     side_a, side_b = split_corpus(kept, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))
-    _write_lines(tmp_dir / "split_a.txt", side_a)
-    _write_lines(tmp_dir / "split_b.txt", side_b)
+    _write_lines(path_a, side_a)
+    _write_lines(path_b, side_b)
     per_source_a = Counter(r.source_id for r in side_a)
     per_source_b = Counter(r.source_id for r in side_b)
     for spec in cfg.sources:
@@ -329,13 +323,13 @@ def _split(cfg: PipelineConfig, kept: list[SentenceRecord], tmp_dir: Path,
     return side_a
 
 
-def _train_bpe(cfg: PipelineConfig, corpus: list[SentenceRecord], tmp_dir: Path,
+def _train_bpe(cfg: PipelineConfig, corpus: list[SentenceRecord], merges_path: str, vocab_path: str,
                stats: PipelineStats) -> None:
     try:
         model = learn_bpe((r.text for r in corpus), cfg.tokenizer_cfg)
     except ValueError as e:
         raise PipelineError("train-bpe", str(e)) from e
-    save_model(model, tmp_dir / "bpe.merges.txt", tmp_dir / "bpe.vocab.txt")
+    save_model(model, merges_path, vocab_path)
     stats.stages.append(StageStats("train-bpe", "*", lines_in=len(corpus), lines_out=len(corpus),
                                    extra={"vocab_size": len(model.vocab), "merges": len(model.merges)}))
 
@@ -344,7 +338,9 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
     """Run the full build and write corpus, splits, tokenizer, and stats.
 
     Re-running with identical inputs and config reproduces every output file
-    byte for byte. On failure, previous outputs are left untouched.
+    byte for byte. The files are committed in the order rejects.tsv,
+    corpus.txt, split_a.txt, split_b.txt, bpe.merges.txt, bpe.vocab.txt,
+    stats.txt, stats.jsonl; a run that fails before the commit replaces none.
     """
     problems = validate_config(cfg)
     if problems:
@@ -354,22 +350,18 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
     stats = PipelineStats()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # A staging directory of its own, so concurrent builds never share files.
-    with tempfile.TemporaryDirectory(prefix=".build-", dir=out_dir) as tmp:
-        tmp_dir = Path(tmp)
-        kept = _ingest_filter_dedup(cfg, tmp_dir, stats)
-        _write_lines(tmp_dir / "corpus.txt", kept)
+    with staged_outputs() as stage:
+        kept = _ingest_filter_dedup(cfg, stage(out_dir / "rejects.tsv"), stats)
+        _write_lines(stage(out_dir / "corpus.txt"), kept)
         if cfg.split_cfg is not None:
             # Rebinding frees the side-B records before training, which reads side A only.
-            kept = _split(cfg, kept, tmp_dir, stats)
+            kept = _split(cfg, kept, stage(out_dir / "split_a.txt"), stage(out_dir / "split_b.txt"), stats)
         if cfg.tokenizer_cfg is not None:
-            _train_bpe(cfg, kept, tmp_dir, stats)
+            _train_bpe(cfg, kept, stage(out_dir / "bpe.merges.txt"), stage(out_dir / "bpe.vocab.txt"), stats)
 
         jsonl, table = report_stats(stats)
-        (tmp_dir / "stats.jsonl").write_text(jsonl, encoding="utf-8")
-        (tmp_dir / "stats.txt").write_text(table, encoding="utf-8")
-        for name in os.listdir(tmp_dir):
-            os.replace(tmp_dir / name, out_dir / name)
+        Path(stage(out_dir / "stats.txt")).write_text(table, encoding="utf-8")
+        Path(stage(out_dir / "stats.jsonl")).write_text(jsonl, encoding="utf-8")
 
     if log is not None:
         print(f"build finished in {time.monotonic() - t0:.1f}s -> {out_dir}", file=log)
@@ -428,23 +420,13 @@ def report_stats(stats: PipelineStats) -> tuple[str, str]:
         for s in stats.stages
     )
 
-    headers = ["stage", "source", "in", "out", "dropped", "detail"]
-    rows = []
+    rows = [["stage", "source", "in", "out", "dropped", "detail"]]
     for s in stats.stages:
-        detail_parts = [f"{k}={v}" for k, v in sorted(s.rejects.items())]
-        detail_parts += [f"{k}={v}" for k, v in sorted(s.extra.items())]
-        rows.append(
-            [s.stage, s.source_id, s.lines_in, s.lines_out, s.duplicates_dropped,
-             " ".join(detail_parts)]
-        )
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(str(h).ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for r in rows:
-        lines.append("  ".join(str(r[i]).ljust(widths[i]) for i in range(len(headers))))
+        detail = " ".join(f"{k}={v}" for k, v in [*sorted(s.rejects.items()), *sorted(s.extra.items())])
+        rows.append([s.stage, s.source_id, str(s.lines_in), str(s.lines_out), str(s.duplicates_dropped), detail])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
 
     total_in = stats.total("ingest", "lines_in")
     total_kept = stats.total("dedup", "lines_out")

@@ -1,4 +1,5 @@
-"""Hand-labeled fixtures shared by the unit tests and the acceptance suite.
+"""Hand-labeled fixtures shared by the unit tests and the acceptance suite,
+and the fault injection the commit tests share.
 
 Every expected value here was derived by hand from the documented filter
 definitions (counts and ratios are spelled out next to each row) or, for
@@ -7,6 +8,9 @@ the tweet cases, by hand-applying the four cleanup stages in order.
 
 from __future__ import annotations
 
+import errno
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -172,3 +176,27 @@ PIPELINE_SIX_LINES = [
     "magandang umaga sa inyong lahat",      # keeper
     "magandang umaga sa inyong lahat",      # duplicate of the keeper
 ]
+
+
+def fail_on_replace(monkeypatch, k: int) -> None:
+    """Make the k-th os.replace call from now on raise OSError; every other call runs as usual."""
+    real_replace = os.replace
+    calls = 0
+
+    def replace(src, dst, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise OSError(errno.EIO, "injected replace failure", os.fspath(dst))
+        return real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+@contextmanager
+def umask(mask: int):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)

@@ -9,7 +9,7 @@ import pytest
 import corpuskit
 from corpuskit.cli import main
 
-from fixtures import PIPELINE_SIX_LINES
+from fixtures import PIPELINE_SIX_LINES, fail_on_replace, umask
 
 
 def run_cli(*args):
@@ -155,6 +155,21 @@ def test_article_readers_name_the_line_of_an_interior_carriage_return(tmp_path, 
     assert err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["cr.txt", *(p.name for p in paths)]
     assert all(path.read_text(encoding="utf-8") == "keep me\n" for path in paths)
+
+
+def test_prep_tweets_refuses_a_carriage_return_in_its_label(tmp_path, capsys):
+    bad, out = tmp_path / "cr.txt", tmp_path / "out.txt"
+    bad.write_bytes(b"a\rb c\tneg\nd e\tpo\rs\n")  # a CR in the text is whitespace, one in the label is not
+    out.write_text("keep me\n", encoding="utf-8")
+    assert run_cli("prep-tweets", "--in", bad, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [prep-tweets] {bad}:2: record text contains a line terminator: 'd e\\tpo\\rs'\n"
+    assert sorted(os.listdir(tmp_path)) == ["cr.txt", "out.txt"]
+    assert out.read_text(encoding="utf-8") == "keep me\n"
+    bad.write_bytes(b"a\rb c\tneg\n")
+    assert run_cli("prep-tweets", "--in", bad, "--out", out) == 0
+    assert out.read_bytes() == b"a b c\tneg\n"
+
 
 def test_dedup_command_prints_summary(tmp_path, capsys):
     src = tmp_path / "in.txt"
@@ -412,6 +427,61 @@ def test_a_replaced_output_keeps_its_permissions(tmp_path):
     assert run_cli("ingest", src, "--out", out) == 0
     assert out.read_text(encoding="utf-8") == "a b c d\n"
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_a_new_output_gets_the_umask_default_mode(tmp_path):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("a b c d\n", encoding="utf-8")
+    with umask(0o002):
+        assert run_cli("ingest", src, "--out", out) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o664
+
+
+# Each command's outputs, in the order the command commits them.
+_COMMITS = {
+    "filter": (["filter"], ["--out", "--rejects"]),
+    "split": (["split", "--ratio", 0.5, "--seed", 1, "--unit", "line"], ["--out-a", "--out-b"]),
+    "train-bpe": (["train-bpe", "--vocab-size", 35], ["--merges-out", "--vocab-out"]),
+}
+
+
+@pytest.mark.parametrize("command, k", [(command, k) for command in _COMMITS for k in (1, 2)])
+def test_a_failed_commit_keeps_every_later_output(tmp_path, monkeypatch, capsys, command, k):
+    src = tmp_path / "in.txt"
+    src.write_text("low low lower newest newest widest\n<b>low</b> lower newest widest\n", encoding="utf-8")
+    argv, flags = _COMMITS[command]
+
+    def run(outs):
+        return run_cli(*argv, "--in", src, *(arg for flag, path in zip(flags, outs) for arg in (flag, path)))
+
+    fresh = [tmp_path / f"fresh{i}.txt" for i in range(len(flags))]
+    assert run(fresh) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    outs = [work / f"out{i}.txt" for i in range(len(flags))]
+    for path in outs:
+        path.write_text("old\n", encoding="utf-8")
+    fail_on_replace(monkeypatch, k)
+    capsys.readouterr()
+    assert run(outs) == 1
+    assert f"injected replace failure: '{outs[k - 1]}'" in capsys.readouterr().err
+    new, old = outs[:k - 1], outs[k - 1:]
+    assert [path.read_bytes() for path in new] == [path.read_bytes() for path in fresh[:k - 1]]
+    assert all(path.read_text(encoding="utf-8") == "old\n" for path in old)
+    assert sorted(os.listdir(work)) == [path.name for path in outs]
+
+
+def test_encode_refuses_the_pair_a_failed_vocab_commit_leaves(tmp_path, monkeypatch, capsys):
+    merges, vocab = _train_toy_model(tmp_path)  # vocab size 30
+    fail_on_replace(monkeypatch, 2)  # new merges are committed, the old vocabulary stays
+    assert run_cli("train-bpe", "--in", tmp_path / "corpus.txt", "--vocab-size", 35,
+                   "--merges-out", merges, "--vocab-out", vocab) == 1
+    monkeypatch.undo()
+    assert len(vocab.read_text(encoding="utf-8").splitlines()) == 30
+    capsys.readouterr()
+    assert run_cli("encode", "--merges", merges, "--vocab", vocab,
+                   "--in", tmp_path / "corpus.txt", "--out", tmp_path / "ids.txt") == 1
+    assert f"is missing from {vocab}" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,11 +1,14 @@
 """Every name a corpuskit module imports is used in that module, and only
-core.py decodes bytes.
+core.py decodes bytes or moves an output into place.
 
 A removed function often leaves its imports behind (a helper module, a
 typing name, a record type). The package's __init__ is left out: importing
 names there is how it exports them. Input lines are decoded in one place,
 core.decoded_lines, so that every reader numbers lines and reports bad
 UTF-8 the same way; a `.decode(...)` call anywhere else is a second decoder.
+Outputs are committed in one place, core.staged_outputs, so that every
+command stages, orders and replaces its files the same way; an `os.replace`
+or `os.rename` anywhere else is a second commit path.
 No command loads hashlib: BLAKE2b comes from CPython's built-in _blake2, since
 importing hashlib also loads OpenSSL's libcrypto.
 """
@@ -66,6 +69,29 @@ def test_the_check_sees_a_decode_call():
     tree = ast.parse("def f(raw, model):\n    decode(model, [1])\n    bpe.decode(model, [1])\n"
                      "    return raw.strip().decode('utf-8')\n")
     assert _decode_calls(tree) == [4]
+
+
+def _os_moves(tree: ast.Module) -> list[int]:
+    """Lines that reach os.replace or os.rename, as `os.<name>` or imported from os."""
+    names = {"replace", "rename"}
+    return sorted(
+        [node.lineno for node in ast.walk(tree)
+         if isinstance(node, ast.Attribute) and node.attr in names
+         and isinstance(node.value, ast.Name) and node.value.id == "os"]
+        + [node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom) and node.module == "os"
+           and any(alias.name in names for alias in node.names)])
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_moves_outputs_into_place(path):
+    assert _os_moves(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+def test_the_check_sees_an_os_replace_call():
+    tree = ast.parse("import os\nfrom os import rename\ndef f(text, a, b):\n    text.replace('a', 'b')\n"
+                     "    os.replace(a, b)\n    return os.path.join(a, b)\n")
+    assert _os_moves(tree) == [2, 5]
 
 
 def _run_python(code: str, *args) -> str:

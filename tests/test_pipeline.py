@@ -1,5 +1,7 @@
 import hashlib
+import os
 import re
+import stat
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from corpuskit.pipeline import (
 from corpuskit.split import SplitConfig, SplitUnit
 from corpuskit.bpe import TokenizerConfig
 
-from fixtures import PIPELINE_SIX_LINES
+from fixtures import PIPELINE_SIX_LINES, fail_on_replace, umask
 
 
 @pytest.fixture
@@ -244,18 +246,73 @@ def test_failure_preserves_previous_outputs(tmp_path, six_line_source):
         run_pipeline(failing, log=None)
     assert "train-bpe" in str(exc.value)
     assert (cfg.output_dir / "corpus.txt").read_bytes() == before
-    assert not list(cfg.output_dir.glob(".build-*"))
+    assert not list(cfg.output_dir.glob(".corpuskit-*"))
 
 
 def test_build_leaves_foreign_staging_files_alone(tmp_path, six_line_source):
     cfg = _cfg(tmp_path, [SourceSpec("mixed", six_line_source)])
-    foreign = cfg.output_dir / ".build-tmp" / "foreign.txt"
+    foreign = cfg.output_dir / ".corpuskit-tmp" / "foreign.txt"
     foreign.parent.mkdir(parents=True)
     foreign.write_text("another build's staging file\n", encoding="utf-8")
     run_pipeline(cfg, log=None)
     assert foreign.read_text(encoding="utf-8") == "another build's staging file\n"
     assert (cfg.output_dir / "corpus.txt").read_text(encoding="utf-8") == "magandang umaga sa inyong lahat\n"
-    assert [p.name for p in cfg.output_dir.glob(".build-*")] == [".build-tmp"]
+    assert [p.name for p in cfg.output_dir.glob(".corpuskit-*")] == [".corpuskit-tmp"]
+
+
+# The order in which a build commits its outputs: stats.jsonl, the file
+# that marks a complete set, comes last.
+BUILD_COMMIT_ORDER = ["rejects.tsv", "corpus.txt", "split_a.txt", "split_b.txt",
+                      "bpe.merges.txt", "bpe.vocab.txt", "stats.txt", "stats.jsonl"]
+
+
+def _mixed_build_cfg(tmp_path, output_dir):
+    return PipelineConfig(
+        sources=_write_mixed_sources(tmp_path),
+        output_dir=output_dir,
+        seed=20260808,
+        split_cfg=SplitConfig(ratio=0.6, seed=0, unit=SplitUnit.LINE),
+        tokenizer_cfg=TokenizerConfig(vocab_size=120),
+    )
+
+
+@pytest.mark.parametrize("k", range(1, len(BUILD_COMMIT_ORDER) + 1))
+def test_a_failed_commit_keeps_every_later_build_output(tmp_path, monkeypatch, k):
+    assert sorted(BUILD_COMMIT_ORDER) == sorted(MIXED_BUILD_SHA256)
+    cfg = _mixed_build_cfg(tmp_path, tmp_path / "out")
+    cfg.output_dir.mkdir()
+    for name in BUILD_COMMIT_ORDER:
+        (cfg.output_dir / name).write_text(f"old {name}\n", encoding="utf-8")
+    fail_on_replace(monkeypatch, k)
+    with pytest.raises(OSError, match="injected replace failure"):
+        run_pipeline(cfg, log=None)
+    new, old = BUILD_COMMIT_ORDER[:k - 1], BUILD_COMMIT_ORDER[k - 1:]
+    assert {name: hashlib.sha256((cfg.output_dir / name).read_bytes()).hexdigest() for name in new} == {
+        name: MIXED_BUILD_SHA256[name] for name in new}
+    assert all((cfg.output_dir / name).read_text(encoding="utf-8") == f"old {name}\n" for name in old)
+    assert sorted(os.listdir(cfg.output_dir)) == sorted(BUILD_COMMIT_ORDER)
+
+
+def test_build_writes_through_a_symlinked_output(tmp_path, six_line_source):
+    cfg = _cfg(tmp_path, [SourceSpec("mixed", six_line_source)])
+    cfg.output_dir.mkdir()
+    rejects = cfg.output_dir / "rejects.tsv"
+    rejects.symlink_to(os.devnull)
+    run_pipeline(cfg, log=None)
+    assert rejects.is_symlink() and os.readlink(rejects) == os.devnull
+    assert (cfg.output_dir / "corpus.txt").read_text(encoding="utf-8") == "magandang umaga sa inyong lahat\n"
+    assert not [name for name in os.listdir(os.path.dirname(os.devnull)) if name.startswith(".corpuskit-")]
+
+
+def test_build_outputs_keep_their_permissions_or_take_the_umask_default(tmp_path, six_line_source):
+    cfg = _cfg(tmp_path, [SourceSpec("mixed", six_line_source)])
+    with umask(0o002):
+        run_pipeline(cfg, log=None)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in cfg.output_dir.iterdir()} == {0o664}
+    corpus = cfg.output_dir / "corpus.txt"
+    corpus.chmod(0o640)
+    run_pipeline(cfg, log=None)
+    assert stat.S_IMODE(corpus.stat().st_mode) == 0o640
 
 
 def test_encoding_error_is_stage_tagged(tmp_path):
