@@ -26,6 +26,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .core import decoded_lines
+
 WORD_END = "</w>"
 
 # Most distinct words one model's encode cache holds before it is emptied.
@@ -417,7 +419,7 @@ def save_model(model: BpeModel, merges_path: Path | str, vocab_path: Path | str)
 
 
 def _two_fields(path: Path | str, line_no: int, line: str, sep: str) -> tuple[str, str]:
-    text = line.rstrip("\n")
+    text = line.rstrip("\r\n")
     left, found, right = text.partition(sep)
     if not (found and left and right) or sep in right:
         raise ValueError(f"{path}:{line_no}: expected two fields separated by {sep!r}, got {text!r}")
@@ -427,11 +429,13 @@ def _two_fields(path: Path | str, line_no: int, line: str, sep: str) -> tuple[st
 def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
     """Read a model written by save_model. A missing header field, a line
     that is not two fields, an id that is not an integer, an id or subword
-    listed twice, and a merge whose output is not in the vocabulary raise
-    ValueError naming the file and line. The header's vocab_size must be an
-    integer; the vocabulary file, not the header, gives the model's size."""
-    with open(merges_path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
+    listed twice, a merge output missing from the vocabulary, and a vocabulary
+    entry that is no special, character (plain or word-final) or merge output
+    raise ValueError naming the file and line. The header's vocab_size must
+    be an integer; the vocabulary file, not the header, gives the model's size."""
+    with open(merges_path, "rb") as f:
+        lines = decoded_lines(f, str(merges_path))
+        header = next(lines, (1, ""))[1].rstrip("\r\n")
         if not header.startswith(_HEADER_PREFIX):
             raise ValueError(f"{merges_path}: not a corpuskit BPE merges file")
         fields = dict(part.partition("=")[::2] for part in header.split("\t")[1:])
@@ -445,11 +449,11 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
             coverage = float(fields["coverage"])
         except ValueError as e:
             raise ValueError(f"{merges_path}:1: {e}") from None
-        merges = [_two_fields(merges_path, line_no, line, " ") for line_no, line in enumerate(f, 2)]
+        merges = [_two_fields(merges_path, line_no, line, " ") for line_no, line in lines]
     vocab: dict[str, int] = {}
     ids: set[int] = set()
-    with open(vocab_path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
+    with open(vocab_path, "rb") as f:
+        for line_no, line in decoded_lines(f, str(vocab_path)):
             sub, idx = _two_fields(vocab_path, line_no, line, "\t")
             try:
                 i = int(idx)
@@ -465,6 +469,10 @@ def load_model(merges_path: Path | str, vocab_path: Path | str) -> BpeModel:
     missing = [tok for tok in specials if tok not in vocab]
     if missing:
         raise ValueError(f"{vocab_path}: special tokens missing from the vocabulary: {' '.join(missing)}")
+    outputs = {a + b for a, b in merges}  # learning adds no other entry; a stray one came with other merges
+    for line_no, sub in enumerate(vocab, 1):
+        if not (sub in outputs or sub in specials or len(sub.removesuffix(WORD_END)) == 1):
+            raise ValueError(f"{vocab_path}:{line_no}: {sub!r} is no special, character or merge in {merges_path}")
     model = BpeModel(merges, vocab, specials, coverage)
     # A merge output spelling the unknown token is that token; any other one
     # that maps to the unknown id is missing from the vocabulary.

@@ -16,7 +16,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import bpe, dedup, nli, pipeline, tweets
-from .core import CorpusError, decoded_lines, line_terminator_error, staged_outputs
+from .core import CorpusError, decoded_lines, staged_outputs
 from .filters import FilterConfig, apply_filters
 from .ingest import (
     SKIP_KINDS,
@@ -160,17 +160,16 @@ def cmd_encode(args) -> int:
 def cmd_prep_tweets(args) -> int:
     n = 0
     with staged_outputs() as stage, open(args.infile, "rb") as f, _open_out(stage, args.out) as out:
-        for ln, line in decoded_lines(f, args.infile):
+        for _, line in decoded_lines(f, args.infile):
             line = line.rstrip("\r\n")
             if not line:
                 continue
             text, sep, label = line.rpartition("\t")
             if not sep:  # no label column, clean the whole line
                 text, label = line, None
-            elif "\r" in label:  # the label is copied out as it is; the text is rejoined as tokens
-                raise line_terminator_error(args.infile, ln, line)
             cleaned = tweets.preprocess_tweet(text)
-            out.write(cleaned + ("\t" + label if label is not None else "") + "\n")
+            # the label is copied out as it is, less trailing whitespace, where a CR may sit
+            out.write(cleaned + ("\t" + label.rstrip() if label is not None else "") + "\n")
             n += 1
     print(f"processed={n}", file=sys.stderr)
     return 0

@@ -1,14 +1,14 @@
 """Shared text model: the line decoder, sentence records, errors and filter
 verdicts, and the one path that commits output files.
 
-One "line" is one sentence: a physical line of the input with its
-terminator and surrounding whitespace stripped (``str.strip()``) and every
-interior codepoint kept exactly. A token is a maximal run of non-whitespace
-characters under the Unicode definition of whitespace (``str.split()``);
-this is the unit every downstream length/ratio heuristic counts. No Unicode
-normalization (NFC/NFD) is ever applied: the tokenizer downstream is cased
-with full character coverage, so altering codepoints would change its
-alphabet.
+One "line" is one sentence: a physical line of the input, ended by LF only,
+with its terminator and surrounding whitespace stripped (``str.strip()``)
+and every interior codepoint kept exactly; a CR left inside it is refused,
+a CRLF ending is not. A token is a maximal run of non-whitespace characters
+under the Unicode definition of whitespace (``str.split()``); this is the
+unit every downstream length/ratio heuristic counts. No Unicode normalization
+(NFC/NFD) is ever applied: the tokenizer downstream is cased with full
+character coverage, so altering codepoints would change its alphabet.
 """
 
 from __future__ import annotations
@@ -86,14 +86,20 @@ PASS = FilterVerdict(True, RejectReason.NONE)
 def decoded_lines(lines: Iterable[bytes], source_id: str) -> Iterator[tuple[int, str]]:
     """Number the lines of a file read in binary from 1 and decode each one.
 
-    Invalid UTF-8 raises EncodingError naming the line and the file: a file
-    object's name, or source_id for any other iterable of bytes.
+    Invalid UTF-8 raises EncodingError, and a CR that str.strip() leaves in
+    the line raises line_terminator_error: universal-newline text mode would
+    end the line there too. Both name the line and the file: a file object's
+    name, or source_id for any other iterable of bytes.
     """
+    name = str(getattr(lines, "name", source_id))
     for line_no, raw in enumerate(lines, start=1):
         try:
-            yield line_no, raw.decode("utf-8")
+            line = raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise EncodingError(str(getattr(lines, "name", source_id)), line_no, str(e)) from None
+            raise EncodingError(name, line_no, str(e)) from None
+        if "\r" in line and "\r" in line.strip():
+            raise line_terminator_error(name, line_no, line.strip())
+        yield line_no, line
 
 
 @contextmanager

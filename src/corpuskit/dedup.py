@@ -28,7 +28,7 @@ from typing import Iterator
 # process.
 from _blake2 import blake2b
 
-from .core import decoded_lines, line_terminator_error
+from .core import decoded_lines
 
 DIGEST_BYTES = 16  # 128 bits; collision odds are negligible at web-corpus scale
 _INDEX_BYTES = 8  # big-endian, so bytewise order is numeric order
@@ -53,16 +53,10 @@ class DedupSummary:
 
 
 def _iter_file_lines(paths: list[Path | str]) -> Iterator[str]:
-    """Normalized lines of the concatenated input files, blanks included. A
-    lone CR inside a line raises ValueError naming the file and line, as the
-    corpus readers do."""
+    """Normalized lines of the concatenated input files, blanks included."""
     for path in paths:
         with open(path, "rb") as f:
-            for line_no, line in decoded_lines(f, str(path)):
-                text = line.strip()
-                if "\r" in text:
-                    raise line_terminator_error(path, line_no, text)
-                yield text
+            yield from (line.strip() for _, line in decoded_lines(f, str(path)))
 
 
 def dedup_lines(paths: list[Path | str], out_path: Path | str) -> DedupSummary:

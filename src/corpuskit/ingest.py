@@ -6,7 +6,7 @@ equal line counts; extraction keeps one side and discards the other. All
 readers stream, normalize every line, skip blanks, and keep the original
 physical line numbers for provenance. Pass a Counter to collect skip counts.
 Readers take the lines of a file opened in binary; core.decoded_lines
-numbers and decodes them.
+numbers and decodes them, and refuses invalid UTF-8 and a lone CR for all.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import groupby, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import SentenceRecord, decoded_lines, line_terminator_error
+from .core import SentenceRecord, decoded_lines
 
 
 # Counter keys the readers skip lines under, with their names in the build report.
@@ -113,18 +113,9 @@ def extract_bitext_side(
 
 
 def read_articles(lines: Iterable[bytes], source_id: str = "articles") -> Iterator[list[str]]:
-    """Blank-line separated blocks of sentences, e.g. one news article each.
-    A sentence holding a CR raises ValueError naming the file and line."""
-    name = str(getattr(lines, "name", source_id))
-
-    def texts() -> Iterator[str]:
-        for line_no, line in decoded_lines(lines, source_id):
-            text = line.strip()
-            if "\r" in text:
-                raise line_terminator_error(name, line_no, text)
-            yield text
-
-    for nonblank, block in groupby(texts(), key=bool):
+    """Blank-line separated blocks of sentences, e.g. one news article each."""
+    texts = (line.strip() for _, line in decoded_lines(lines, source_id))
+    for nonblank, block in groupby(texts, key=bool):
         if nonblank:
             yield list(block)
 

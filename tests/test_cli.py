@@ -159,16 +159,20 @@ def test_article_readers_name_the_line_of_an_interior_carriage_return(tmp_path, 
 
 def test_prep_tweets_refuses_a_carriage_return_in_its_label(tmp_path, capsys):
     bad, out = tmp_path / "cr.txt", tmp_path / "out.txt"
-    bad.write_bytes(b"a\rb c\tneg\nd e\tpo\rs\n")  # a CR in the text is whitespace, one in the label is not
     out.write_text("keep me\n", encoding="utf-8")
-    assert run_cli("prep-tweets", "--in", bad, "--out", out) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: [prep-tweets] {bad}:2: record text contains a line terminator: 'd e\\tpo\\rs'\n"
-    assert sorted(os.listdir(tmp_path)) == ["cr.txt", "out.txt"]
-    assert out.read_text(encoding="utf-8") == "keep me\n"
-    bad.write_bytes(b"a\rb c\tneg\n")
+    # a CR in the label stops the command, and so does one in the text
+    for data, line_no, text in [(b"a b c\tneg\nd e\tpo\rs\n", 2, "d e\\tpo\\rs"),
+                                (b"a\rb c\tneg\n", 1, "a\\rb c\\tneg")]:
+        bad.write_bytes(data)
+        assert run_cli("prep-tweets", "--in", bad, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [prep-tweets] {bad}:{line_no}: record text contains a line terminator: '{text}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["cr.txt", "out.txt"]
+        assert out.read_text(encoding="utf-8") == "keep me\n"
+    # a CR in the trailing whitespace passes the line rule, and is not copied out with the label
+    bad.write_bytes(b"a b c\tneg\r\nd e\tpos\r \n")
     assert run_cli("prep-tweets", "--in", bad, "--out", out) == 0
-    assert out.read_bytes() == b"a b c\tneg\n"
+    assert out.read_bytes() == b"a b c\tneg\nd e\tpos\n"
 
 
 def test_dedup_command_prints_summary(tmp_path, capsys):
@@ -245,15 +249,21 @@ def test_train_encode_roundtrip(tmp_path):
     assert all(tok.isdigit() for tok in ids)
 
 
-def test_encode_keeps_one_line_of_ids_per_input_line(tmp_path):
+def test_encode_keeps_one_line_of_ids_per_input_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("low low lower newest newest widest\n", encoding="utf-8")
     merges, vocab = tmp_path / "m.txt", tmp_path / "v.txt"
     assert run_cli("train-bpe", "--in", corpus, "--vocab-size", 30,
                    "--merges-out", merges, "--vocab-out", vocab) == 0
     text_in = tmp_path / "text.txt"
-    text_in.write_bytes(b"lowest\rnewest\nwidest low\r\n")  # a lone CR inside a line, then a CRLF ending
     ids_out = tmp_path / "ids.txt"
+    ids_out.write_text("keep me\n", encoding="utf-8")
+    text_in.write_bytes(b"lowest newest\nwidest\rlow\n")  # a lone CR would end a line for another reader
+    capsys.readouterr()
+    assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", text_in, "--out", ids_out) == 1
+    assert capsys.readouterr().err.startswith(f"error: [encode] {text_in}:2: record text contains a line terminator")
+    assert ids_out.read_text(encoding="utf-8") == "keep me\n"
+    text_in.write_bytes(b"lowest newest\r\nwidest low\r\n")  # CRLF endings
     assert run_cli("encode", "--merges", merges, "--vocab", vocab, "--in", text_in, "--out", ids_out) == 0
 
     plain_in = tmp_path / "plain.txt"
@@ -329,7 +339,7 @@ def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt)
     assert err.startswith(f"error: [encode] {bad_file}:{line_no}: ") and err.count("\n") == 1, err
 
 
-_UTF8_CASES = ["train-bpe", "encode", "prep-tweets", "encode-labels", "ingest-plain", "ingest-tsv",
+_UTF8_CASES = ["train-bpe", "encode", "encode-vocab", "prep-tweets", "encode-labels", "ingest-plain", "ingest-tsv",
                "ingest-paired-source", "ingest-paired-target", "filter", "dedup", "dedup-external",
                "split-line", "split-document", "make-nli"]
 
@@ -341,11 +351,14 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
     bad.write_bytes(b"0,0,0,0,0\nlow \xff\t1\n")
     good = tmp_path / "good.txt"
     good.write_bytes(b"one two three four\nfive six seven eight\n")
+    if command == "encode-vocab":  # line 2 of the model's vocabulary file
+        bad.write_bytes(vocab.read_bytes().replace(b"\n", b"\n\xff", 1))
     out = tmp_path / "out.txt"
     argv = {
         "train-bpe": ["train-bpe", "--in", bad, "--vocab-size", 30,
                       "--merges-out", tmp_path / "m2.txt", "--vocab-out", tmp_path / "v2.txt"],
         "encode": ["encode", "--in", bad, "--merges", merges, "--vocab", vocab, "--out", out],
+        "encode-vocab": ["encode", "--in", good, "--merges", merges, "--vocab", bad, "--out", out],
         "prep-tweets": ["prep-tweets", "--in", bad, "--out", out],
         "encode-labels": ["encode-labels", "--in", bad, "--out", out],
         "ingest-plain": ["ingest", bad, "--source-id", "web", "--out", out],
@@ -391,6 +404,66 @@ def test_a_failed_command_keeps_earlier_outputs(tmp_path, command):
     assert run_cli(*argv, "--out", out) == 1
     assert sorted(os.listdir(work)) == ["kept.txt", "rej.tsv"]
     assert out.read_text(encoding="utf-8") == rej.read_text(encoding="utf-8") == "keep me\n"
+
+
+# Every command that reads input lines, run on {src}: five label columns a
+# row, which every one of them reads. {other} is a clean second input.
+_LINE_READERS = {
+    "ingest-plain": ["ingest", "{src}", "--out", "{work}/a.txt"],
+    "ingest-tsv": ["ingest", "{src}", "--format", "tsv", "--out", "{work}/a.txt"],
+    # the chosen side is the target, so the first case reads {src} as the side it drops
+    "ingest-paired-source": ["ingest", "{src}", "{other}", "--format", "paired", "--out", "{work}/a.txt"],
+    "ingest-paired-target": ["ingest", "{other}", "{src}", "--format", "paired", "--out", "{work}/a.txt"],
+    "filter": ["filter", "--in", "{src}", "--out", "{work}/a.txt", "--rejects", "{work}/b.txt"],
+    "dedup": ["dedup", "--in", "{other}", "{src}", "--out", "{work}/a.txt"],
+    "dedup-external": ["dedup", "--in", "{other}", "{src}", "--out", "{work}/a.txt", "--external-sort",
+                       "--tmp", "{work}"],
+    "split-line": ["split", "--in", "{src}", "--ratio", "0.5", "--seed", "1", "--unit", "line",
+                   "--out-a", "{work}/a.txt", "--out-b", "{work}/b.txt"],
+    "split-document": ["split", "--in", "{src}", "--ratio", "0.5", "--seed", "1", "--unit", "document",
+                       "--out-a", "{work}/a.txt", "--out-b", "{work}/b.txt"],
+    "make-nli": ["make-nli", "--in", "{src}", "--seed", "1", "--out", "{work}/a.txt"],
+    "train-bpe": ["train-bpe", "--in", "{src}", "--vocab-size", "12",
+                  "--merges-out", "{work}/a.txt", "--vocab-out", "{work}/b.txt"],
+    "encode": ["encode", "--in", "{src}", "--merges", "{merges}", "--vocab", "{vocab}", "--out", "{work}/a.txt"],
+    "prep-tweets": ["prep-tweets", "--in", "{src}", "--out", "{work}/a.txt"],
+    "encode-labels": ["encode-labels", "--in", "{src}", "--out", "{work}/a.txt"],
+    "build": ["build", "--config", "{config}"],
+}
+
+
+@pytest.mark.parametrize("command", _LINE_READERS)
+def test_every_line_reader_takes_crlf_and_refuses_a_lone_cr(tmp_path, capsys, command):
+    merges, vocab = _train_toy_model(tmp_path)
+    rows = [b"1,0,1,0,1", b"0,1,1,0,0", b"1,1,1,1,1"]
+    other = tmp_path / "other.txt"
+    other.write_bytes(b"".join(row + b"\n" for row in rows))
+
+    def run(name, data):
+        src, work = tmp_path / name / "in.txt", tmp_path / name / "work"
+        work.mkdir(parents=True, exist_ok=True)
+        src.write_bytes(data)
+        config = tmp_path / name / "build.ini"
+        config.write_text(f"[pipeline]\noutput_dir = {work}\n[source.web]\npath = {src}\n", encoding="utf-8")
+        paths = dict(src=src, other=other, work=work, merges=merges, vocab=vocab, config=config)
+        code = run_cli(*(arg.format(**paths) for arg in _LINE_READERS[command]))
+        return src, code, {p.name: p.read_bytes() for p in work.iterdir()}
+
+    _, code, lf = run("lf", b"".join(row + b"\n" for row in rows))
+    assert code == 0
+    _, code, crlf = run("crlf", b"".join(row + b"\r\n" for row in rows))
+    assert code == 0
+    # the same outputs, but for the build's byte counts
+    assert {n: b for n, b in crlf.items() if not n.startswith("stats")} == {
+        n: b for n, b in lf.items() if not n.startswith("stats")}
+    capsys.readouterr()
+    # a lone CR ends line 2 and leaves the outputs of the CRLF run as they were
+    src, code, after = run("crlf", rows[0] + b"\n" + rows[1] + b"\r" + rows[2] + b"\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [") and err.count("\n") == 1
+    assert err.endswith(f" {src}:2: record text contains a line terminator: '0,1,1,0,0\\r1,1,1,1,1'\n"), err
+    assert after == crlf
 
 
 def test_external_dedup_leaves_its_spill_directory_empty(tmp_path):
@@ -473,15 +546,21 @@ def test_a_failed_commit_keeps_every_later_output(tmp_path, monkeypatch, capsys,
 
 def test_encode_refuses_the_pair_a_failed_vocab_commit_leaves(tmp_path, monkeypatch, capsys):
     merges, vocab = _train_toy_model(tmp_path)  # vocab size 30
-    fail_on_replace(monkeypatch, 2)  # new merges are committed, the old vocabulary stays
-    assert run_cli("train-bpe", "--in", tmp_path / "corpus.txt", "--vocab-size", 35,
-                   "--merges-out", merges, "--vocab-out", vocab) == 1
-    monkeypatch.undo()
-    assert len(vocab.read_text(encoding="utf-8").splitlines()) == 30
-    capsys.readouterr()
-    assert run_cli("encode", "--merges", merges, "--vocab", vocab,
-                   "--in", tmp_path / "corpus.txt", "--out", tmp_path / "ids.txt") == 1
-    assert f"is missing from {vocab}" in capsys.readouterr().err
+    # A retraining whose vocabulary move fails leaves new merges beside the old
+    # vocabulary: 10 merges beside 30 entries, then 5 merges beside 35 entries.
+    stray = f"{vocab}:31: 'low</w>' is no special, character or merge in {merges}"  # the 6th merge output
+    for new_size, n_vocab, detail in [(35, 30, f"is missing from {vocab}"), (30, 35, stray)]:
+        fail_on_replace(monkeypatch, 2)
+        assert run_cli("train-bpe", "--in", tmp_path / "corpus.txt", "--vocab-size", new_size,
+                       "--merges-out", merges, "--vocab-out", vocab) == 1
+        monkeypatch.undo()
+        assert len(vocab.read_text(encoding="utf-8").splitlines()) == n_vocab
+        capsys.readouterr()
+        assert run_cli("encode", "--merges", merges, "--vocab", vocab,
+                       "--in", tmp_path / "corpus.txt", "--out", tmp_path / "ids.txt") == 1
+        assert detail in capsys.readouterr().err
+        assert run_cli("train-bpe", "--in", tmp_path / "corpus.txt", "--vocab-size", 35,
+                       "--merges-out", merges, "--vocab-out", vocab) == 0  # a matching pair again
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -497,11 +576,15 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
 
 
-def test_prep_tweets_keeps_one_row_per_input_line(tmp_path):
+def test_prep_tweets_keeps_one_row_per_input_line(tmp_path, capsys):
     src = tmp_path / "tweets.tsv"
-    src.write_bytes(b"great game @bob\rsee you\t1\nplain text here\t0\r\n")
+    src.write_bytes(b"great game @bob see you\t1\r\nplain text here\t0\r\n")
     out = tmp_path / "out.tsv"
     assert run_cli("prep-tweets", "--in", src, "--out", out) == 0
+    assert out.read_text(encoding="utf-8") == "great game [MENTION] see you\t1\nplain text here\t0\n"
+    src.write_bytes(b"great game @bob\rsee you\t1\nplain text here\t0\r\n")  # a lone CR is not a row break
+    assert run_cli("prep-tweets", "--in", src, "--out", out) == 1
+    assert f"{src}:1: record text contains a line terminator" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "great game [MENTION] see you\t1\nplain text here\t0\n"
 
 
@@ -541,13 +624,18 @@ def test_encode_labels_names_the_line_of_a_bad_row(tmp_path, capsys, row):
 
 
 def test_encode_labels_keeps_one_row_per_physical_line(tmp_path, capsys):
-    # a lone CR is not a line break: line 1 is one malformed row, not two rows
     src = tmp_path / "labels.csv"
-    src.write_bytes(b"1,1,0,1,1\r0,0,0,0,0\n1,1,1,1,1\n")
+    src.write_bytes(b"1,1,0,1,1\r\n0,0,0,0,0\r\n")
     out = tmp_path / "classes.csv"
+    assert run_cli("encode-labels", "--in", src, "--out", out) == 0
+    assert out.read_text(encoding="utf-8") == "27\n0\n"
+    capsys.readouterr()
+    # a lone CR is not a line break: line 1 is refused, not read as two rows
+    src.write_bytes(b"1,1,0,1,1\r0,0,0,0,0\n1,1,1,1,1\n")
     assert run_cli("encode-labels", "--in", src, "--out", out) == 1
     err = capsys.readouterr().err
-    assert f"{src}:1: expected 5 binary columns" in err and err.count("\n") == 1
+    assert f"{src}:1: record text contains a line terminator" in err and err.count("\n") == 1
+    assert out.read_text(encoding="utf-8") == "27\n0\n"
 
 
 def test_make_nli(tmp_path):

@@ -1,11 +1,14 @@
 """Every name a corpuskit module imports is used in that module, and only
-core.py decodes bytes or moves an output into place.
+core.py decodes bytes, refuses a lone CR or moves an output into place.
 
 A removed function often leaves its imports behind (a helper module, a
 typing name, a record type). The package's __init__ is left out: importing
 names there is how it exports them. Input lines are decoded in one place,
 core.decoded_lines, so that every reader numbers lines and reports bad
 UTF-8 the same way; a `.decode(...)` call anywhere else is a second decoder.
+The same function refuses a CR that stripping leaves inside a line, so every
+command has one line rule; a module outside core.py that names
+line_terminator_error states that rule a second time.
 Outputs are committed in one place, core.staged_outputs, so that every
 command stages, orders and replaces its files the same way; an `os.replace`
 or `os.rename` anywhere else is a second commit path.
@@ -69,6 +72,26 @@ def test_the_check_sees_a_decode_call():
     tree = ast.parse("def f(raw, model):\n    decode(model, [1])\n    bpe.decode(model, [1])\n"
                      "    return raw.strip().decode('utf-8')\n")
     assert _decode_calls(tree) == [4]
+
+
+def _line_rule_names(tree: ast.Module) -> list[int]:
+    """Lines that name line_terminator_error: imported, called or reached as an attribute."""
+    name = "line_terminator_error"
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_refuses_a_lone_carriage_return(path):
+    assert _line_rule_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+def test_the_check_sees_a_line_rule_outside_core():
+    tree = ast.parse("from .core import decoded_lines, line_terminator_error\nfrom . import core\n"
+                     "def f(p, n, t):\n    core.line_terminator_error(p, n, t)\n    return 'line_terminator_error'\n")
+    assert _line_rule_names(tree) == [1, 4]
 
 
 def _os_moves(tree: ast.Module) -> list[int]:

@@ -293,6 +293,42 @@ def test_a_failed_commit_keeps_every_later_build_output(tmp_path, monkeypatch, k
     assert sorted(os.listdir(cfg.output_dir)) == sorted(BUILD_COMMIT_ORDER)
 
 
+def _short_paired_target(sources):
+    right = sources[2].path2
+    right.write_bytes(b"".join(right.read_bytes().splitlines(keepends=True)[:-1]))
+    return "paired corpus 'paired': target file ends at line 9"
+
+
+def _invalid_utf8_on_a_later_line(sources):
+    tsv = sources[1].path
+    lines = tsv.read_bytes().splitlines(keepends=True)
+    lines[9] = b"english sentence \xff\tpangungusap na sira\n"
+    tsv.write_bytes(b"".join(lines))
+    return f"invalid UTF-8 in source '{tsv}' at line 10: "
+
+
+def _lone_cr_on_a_later_line(sources):
+    plain = sources[0].path
+    with open(plain, "ab") as f:
+        f.write(b"isang huling linya\rna may CR sa gitna\n")
+    n = plain.read_bytes().count(b"\n")
+    return f"{plain}:{n}: record text contains a line terminator: 'isang huling linya\\rna may CR sa gitna'"
+
+
+@pytest.mark.parametrize("fault", [_short_paired_target, _invalid_utf8_on_a_later_line, _lone_cr_on_a_later_line],
+                         ids=["short-paired-target", "invalid-utf8", "lone-cr"])
+def test_a_faulty_input_keeps_every_build_output(tmp_path, fault):
+    cfg = _mixed_build_cfg(tmp_path, tmp_path / "out")
+    run_pipeline(cfg, log=None)
+    before = {name: (cfg.output_dir / name).read_bytes() for name in os.listdir(cfg.output_dir)}
+    assert sorted(before) == sorted(BUILD_COMMIT_ORDER)
+    detail = fault(cfg.sources)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(cfg, log=None)
+    assert str(exc.value).startswith("[ingest] ") and detail in str(exc.value)
+    assert {name: (cfg.output_dir / name).read_bytes() for name in os.listdir(cfg.output_dir)} == before
+
+
 def test_build_writes_through_a_symlinked_output(tmp_path, six_line_source):
     cfg = _cfg(tmp_path, [SourceSpec("mixed", six_line_source)])
     cfg.output_dir.mkdir()
@@ -345,7 +381,7 @@ def test_interior_carriage_return_is_stage_tagged(tmp_path):
         run_pipeline(cfg, log=None)
     msg = str(exc.value)
     assert "[ingest]" in msg and "crsrc" in msg and "line terminator" in msg
-    assert "crsrc:2:" in msg  # the source and the physical line of the bad record
+    assert f"{bad}:2:" in msg  # the file and the physical line of the bad record
 
 
 # --- config documents ---------------------------------------------------------------
