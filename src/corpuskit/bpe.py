@@ -35,6 +35,9 @@ WORD_CACHE_LIMIT = 1 << 14
 
 DEFAULT_SPECIALS = ("<unk>", "<pad>", "<s>", "</s>", "<mask>")
 
+# Masks the right symbol b out of a pair key a << 32 | b.
+_LOW = (1 << 32) - 1
+
 
 @dataclass(frozen=True)
 class TokenizerConfig:
@@ -171,38 +174,42 @@ class _PairIndex:
     Words are lists of symbol ids, merged in place. ``ids`` is the symbol
     table, grown by interning each merge output by string, so an output equal
     to an existing symbol gets that symbol's id; ``symbols`` maps an id back
-    to its string. ``counts[p]`` is the frequency-weighted number of
-    occurrences of the id pair p and holds only pairs that occur. ``where[p]``
-    lists the indices of the words that contain p, with exactly the keys of
+    to its string. A pair of ids (a, b) is keyed by the one int
+    ``a << 32 | b``; ``counts``, ``where`` and a merge's summed changes share
+    that key object. ``counts[p]`` is the frequency-weighted number of
+    occurrences of p and holds only pairs that occur. ``where[p]`` lists the
+    indices of the words that contain p, with exactly the keys of
     ``counts``. It is a superset: a merge appends a word to the pairs it
     creates and never removes one, and a pair whose count reaches 0 leaves
     both. A word is appended unless it is already the list's last entry,
     which drops repeats within one word; a word may still be listed twice,
     and its second visit finds no occurrence, because a merge output is
     longer than either operand and so never re-creates the pair it consumes.
-    Heap entries are (-count, left, right) with string symbols, so the
-    smallest entry is the most frequent pair with ties to the
-    lexicographically smallest string pair. An entry is stale when its count
-    no longer matches ``counts``; stale entries are dropped when they reach
-    the top. Each merge changes only the pairs next to its merge sites, sums
-    those changes over all touched words first and pushes one entry per pair
-    whose count moved.
+    Heap entries are (-count, left, right) with string symbols. Each merge
+    changes only the pairs next to its merge sites, sums those changes over
+    all touched words first and pushes one entry per pair whose count rose;
+    a fall pushes nothing. So every live pair has an entry whose count is at
+    least its live count, and the top entry, once its count is exact, is the
+    most frequent pair with ties to the lexicographically smallest string
+    pair. ``best_pair`` drops a top entry whose pair is gone and re-files one
+    whose count fell at the pair's current count.
     """
 
     def __init__(self, words: list[list[int]], freqs: list[int], ids: dict[str, int]):
         self.words, self.freqs, self.ids = words, freqs, ids
         self.symbols = symbols = list(ids)
-        counts: dict[tuple[int, int], int] = {}
-        where: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+        counts: dict[int, int] = {}
+        where: defaultdict[int, list[int]] = defaultdict(list)
         get = counts.get
         for idx, (w, n) in enumerate(zip(words, freqs)):
-            for pair in zip(w, w[1:]):
+            for a, b in zip(w, w[1:]):
+                pair = a << 32 | b
                 counts[pair] = get(pair, 0) + n
                 listed = where[pair]
                 if not listed or listed[-1] != idx:
                     listed.append(idx)
         self.counts, self.where = counts, where
-        self.heap = [(-count, symbols[a], symbols[b]) for (a, b), count in counts.items()]
+        self.heap = [(-count, symbols[p >> 32], symbols[p & _LOW]) for p, count in counts.items()]
         heapq.heapify(self.heap)
 
     def _intern(self, symbol: str) -> int:
@@ -216,18 +223,23 @@ class _PairIndex:
         heap, counts, ids = self.heap, self.counts, self.ids
         while heap:
             neg, left, right = heap[0]
-            if counts.get((ids[left], ids[right]), 0) == -neg:
+            count = counts.get(ids[left] << 32 | ids[right])
+            if count is None:
+                heapq.heappop(heap)  # the pair is gone
+            elif count == -neg:
                 return left, right
-            heapq.heappop(heap)  # stale entry
+            else:  # the count fell since this entry was pushed
+                heapq.heapreplace(heap, (-count, left, right))
         return None
 
     def apply_merge(self, pair: tuple[str, str]) -> None:
         words, freqs, where, counts, sym = self.words, self.freqs, self.where, self.counts, self.symbols
         a, b = self.ids[pair[0]], self.ids[pair[1]]
         new = self._intern(pair[0] + pair[1])
-        delta: dict[tuple[int, int], int] = defaultdict(int)
+        ab, b_high, new_high = a << 32 | b, b << 32, new << 32
+        delta: dict[int, int] = defaultdict(int)
         removed = 0
-        for idx in where.pop((a, b)):
+        for idx in where.pop(ab):
             w, n = words[idx], freqs[idx]
             try:  # non-overlapping occurrences, leftmost first, until index() finds no more
                 i = w.index(a)
@@ -235,24 +247,26 @@ class _PairIndex:
                     if i + 1 < len(w) and w[i + 1] == b:
                         removed += n
                         if i:
-                            prev = w[i - 1]
-                            delta[prev, a] -= n
-                            delta[prev, new] += n
-                            listed = where[prev, new]
+                            prev = w[i - 1] << 32
+                            delta[prev | a] -= n
+                            made = prev | new
+                            delta[made] += n
+                            listed = where[made]
                             if not listed or listed[-1] != idx:
                                 listed.append(idx)
                         if i + 2 < len(w):
                             nxt = w[i + 2]
-                            delta[b, nxt] -= n
-                            delta[new, nxt] += n
-                            listed = where[new, nxt]
+                            delta[b_high | nxt] -= n
+                            made = new_high | nxt
+                            delta[made] += n
+                            listed = where[made]
                             if not listed or listed[-1] != idx:
                                 listed.append(idx)
                         w[i:i + 2] = [new]
                     i = w.index(a, i + 1)
             except ValueError:
                 pass
-        delta[a, b] -= removed
+        delta[ab] -= removed
         for p, d in delta.items():
             # A pair made and consumed in this merge nets to 0 but was added to where.
             count = counts.get(p, 0) + d
@@ -261,7 +275,8 @@ class _PairIndex:
                 where.pop(p, None)
             elif d:
                 counts[p] = count
-                heapq.heappush(self.heap, (-count, sym[p[0]], sym[p[1]]))
+                if d > 0:
+                    heapq.heappush(self.heap, (-count, sym[p >> 32], sym[p & _LOW]))
 
 
 def learn_bpe(texts: Iterable[str], cfg: TokenizerConfig) -> BpeModel:

@@ -34,6 +34,11 @@ def _open_out(stage, path: str):
     return open(stage(path), "w", encoding="utf-8", newline="\n")
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as f:
+        return "".join(line for _, line in decoded_lines(f, path))
+
+
 def cmd_ingest(args) -> int:
     if args.format == "paired" and len(args.inputs) != 2:
         raise CorpusError("paired format takes exactly two input files")
@@ -63,8 +68,7 @@ def cmd_ingest(args) -> int:
 def cmd_filter(args) -> int:
     cfg = FilterConfig()
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        cfg = pipeline.filter_config_from_mapping(pipeline.parse_flat_config(text))
+        cfg = pipeline.filter_config_from_mapping(pipeline.parse_flat_config(_read_text(args.config)))
     problems = cfg.validate()
     if problems:
         raise CorpusError("bad filter config: " + "; ".join(problems))
@@ -221,8 +225,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    text = Path(args.infile).read_text(encoding="utf-8")
-    stats = pipeline.stats_from_jsonl(text)
+    stats = pipeline.stats_from_jsonl(_read_text(args.infile))
     _, table = pipeline.report_stats(stats)
     print(table, end="")
     return 0

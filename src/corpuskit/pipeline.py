@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
-from .core import CorpusError, SentenceRecord, staged_outputs
+from .core import CorpusError, SentenceRecord, decoded_lines, staged_outputs
 from .dedup import dedup_key
 from .filters import FilterConfig, apply_filters
 from .ingest import (
@@ -177,8 +177,8 @@ def load_config(path: Path | str) -> PipelineConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # keep case of keys and values
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            parser.read_file(f, source=str(path))
+        with open(path, "rb") as f:
+            parser.read_file((line for _, line in decoded_lines(f, str(path))), source=str(path))
     except configparser.Error as e:
         raise ValueError(str(e)) from None  # message carries file and line
 

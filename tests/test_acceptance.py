@@ -3,6 +3,7 @@ its runtime (run with -s to see them). Expected values come from the
 independent oracles in oracles.py or from hand-derived fixtures.
 """
 
+import hashlib
 import random
 import time
 
@@ -137,6 +138,10 @@ def test_acceptance_3_bpe_exactness():
     corpus = _make_corpus(1_000_000, seed=99)
     model = bpe.learn_bpe(corpus, bpe.TokenizerConfig(vocab_size=500))
     assert len(model.vocab) == 500
+    # its 443 merges, pinned against the trainer that keyed pairs by tuple
+    # and pushed a heap entry on every count change
+    merges = "".join(f"{a} {b}\n" for a, b in model.merges).encode()
+    assert hashlib.sha256(merges).hexdigest() == "41c37d726870aec717ce47aafefd27721aed83ee5357320d379827cc4d057abe"
 
     # decode(encode(x)) identity on fully covered text, mixed case included
     for text in corpus[:200]:

@@ -130,9 +130,9 @@ def _run_words(rng: random.Random) -> Counter:
 def _recount(words, freqs):
     counts, where = Counter(), {}
     for idx, (syms, n) in enumerate(zip(words, freqs)):
-        for p in zip(syms, syms[1:]):
-            counts[p] += n
-            where.setdefault(p, set()).add(idx)
+        for a, b in zip(syms, syms[1:]):
+            counts[a << 32 | b] += n
+            where.setdefault(a << 32 | b, set()).add(idx)
     return counts, where
 
 
@@ -143,13 +143,20 @@ def _pair_index(words: Counter) -> _PairIndex:
 
 
 def _merge_to_exhaustion_against_recount(index: _PairIndex, label, relist: bool = False) -> None:
+    def strings(p):  # a pair key a << 32 | b as the string pair that heap entries hold
+        return index.symbols[p >> 32], index.symbols[p & 0xFFFFFFFF]
+
     for step in range(200):
+        before = dict(index.counts)
         pair = index.best_pair()
         if pair is None:
             break
+        # the top entry is exact
+        assert index.heap[0] == (-before[index.ids[pair[0]] << 32 | index.ids[pair[1]]], *pair), (label, step)
         if relist:  # every word twice in every list: the merged pair's and those the merge appends to
             for listed in index.where.values():
                 listed[:] = [*dict.fromkeys(listed)] * 2
+        heap = Counter(index.heap)
         index.apply_merge(pair)
         counts, where = _recount(index.words, index.freqs)
         # dict(): Counter equality ignores zero entries, the index must hold none
@@ -157,8 +164,14 @@ def _merge_to_exhaustion_against_recount(index: _PairIndex, label, relist: bool 
         # where[p] may keep a word that lost p, but holds every word with p
         assert index.where.keys() == where.keys(), (label, step)
         assert all(set(index.where[p]) >= members for p, members in where.items()), (label, step)
-        live, sym = set(index.heap), index.symbols
-        assert all((-c, sym[a], sym[b]) in live for (a, b), c in counts.items()), (label, step)
+        # the merge pushed one entry at the new count for each pair whose count rose, and nothing else
+        rose = Counter((-c, *strings(p)) for p, c in counts.items() if c > before.get(p, 0))
+        assert Counter(index.heap) - heap == rose and not heap - Counter(index.heap), (label, step)
+        # every live pair has an entry whose count is at least its live count
+        filed: dict[tuple[str, str], int] = {}
+        for neg, left, right in index.heap:
+            filed[left, right] = max(filed.get((left, right), 0), -neg)
+        assert all(filed.get(strings(p), 0) >= c for p, c in counts.items()), (label, step)
     assert not index.counts and not index.where, label
 
 
@@ -185,8 +198,8 @@ def test_pair_index_matches_recount_with_words_listed_twice():
     # whose list already holds the word, but not as its last entry.
     index = _PairIndex([[3, 2, 3, 0, 1], [3, 2]], [1, 1], {"a": 0, "b": 1, "ab": 2, "x": 3})
     index.apply_merge(("a", "b"))
-    assert index.where[3, 2] == [0, 1, 0]
-    assert index.counts[3, 2] == 3
+    assert index.where[3 << 32 | 2] == [0, 1, 0]
+    assert index.counts[3 << 32 | 2] == 3
     _merge_to_exhaustion_against_recount(index, "x ab x a b")
 
 

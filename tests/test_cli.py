@@ -340,8 +340,8 @@ def test_encode_refuses_a_malformed_model_in_one_line(tmp_path, capsys, corrupt)
 
 
 _UTF8_CASES = ["train-bpe", "encode", "encode-vocab", "prep-tweets", "encode-labels", "ingest-plain", "ingest-tsv",
-               "ingest-paired-source", "ingest-paired-target", "filter", "dedup", "dedup-external",
-               "split-line", "split-document", "make-nli"]
+               "ingest-paired-source", "ingest-paired-target", "filter", "filter-config", "dedup", "dedup-external",
+               "split-line", "split-document", "make-nli", "build-config", "stats"]
 
 
 @pytest.mark.parametrize("command", _UTF8_CASES)
@@ -353,6 +353,8 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
     good.write_bytes(b"one two three four\nfive six seven eight\n")
     if command == "encode-vocab":  # line 2 of the model's vocabulary file
         bad.write_bytes(vocab.read_bytes().replace(b"\n", b"\n\xff", 1))
+    if command == "build-config":  # the config is parsed as it is read, so line 1 must parse
+        bad.write_bytes(b"# 0,0,0,0,0\nlow \xff\t1\n")
     out = tmp_path / "out.txt"
     argv = {
         "train-bpe": ["train-bpe", "--in", bad, "--vocab-size", 30,
@@ -366,6 +368,7 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
         "ingest-paired-source": ["ingest", bad, good, "--format", "paired", "--source-id", "par", "--out", out],
         "ingest-paired-target": ["ingest", good, bad, "--format", "paired", "--source-id", "par", "--out", out],
         "filter": ["filter", "--in", bad, "--out", out, "--rejects", tmp_path / "rej.tsv"],
+        "filter-config": ["filter", "--config", bad, "--in", good, "--out", out, "--rejects", tmp_path / "rej.tsv"],
         # each file numbers its own lines: the bad line is line 2 of the second input
         "dedup": ["dedup", "--in", good, bad, "--out", out],
         "dedup-external": ["dedup", "--in", good, bad, "--out", out, "--external-sort", "--tmp", tmp_path],
@@ -374,6 +377,8 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
         "split-document": ["split", "--in", bad, "--ratio", 0.5, "--seed", 1, "--unit", "document",
                            "--out-a", out, "--out-b", tmp_path / "b.txt"],
         "make-nli": ["make-nli", "--in", bad, "--seed", 1, "--out", out],
+        "build-config": ["build", "--config", bad],
+        "stats": ["stats", "--in", bad],
     }[command]
     capsys.readouterr()
     assert run_cli(*argv) == 1
@@ -407,7 +412,8 @@ def test_a_failed_command_keeps_earlier_outputs(tmp_path, command):
 
 
 # Every command that reads input lines, run on {src}: five label columns a
-# row, which every one of them reads. {other} is a clean second input.
+# row, which every one of them reads, or the rows in _READER_ROWS. {other} is
+# a clean second input.
 _LINE_READERS = {
     "ingest-plain": ["ingest", "{src}", "--out", "{work}/a.txt"],
     "ingest-tsv": ["ingest", "{src}", "--format", "tsv", "--out", "{work}/a.txt"],
@@ -415,6 +421,8 @@ _LINE_READERS = {
     "ingest-paired-source": ["ingest", "{src}", "{other}", "--format", "paired", "--out", "{work}/a.txt"],
     "ingest-paired-target": ["ingest", "{other}", "{src}", "--format", "paired", "--out", "{work}/a.txt"],
     "filter": ["filter", "--in", "{src}", "--out", "{work}/a.txt", "--rejects", "{work}/b.txt"],
+    "filter-config": ["filter", "--config", "{src}", "--in", "{other}", "--out", "{work}/a.txt",
+                      "--rejects", "{work}/b.txt"],
     "dedup": ["dedup", "--in", "{other}", "{src}", "--out", "{work}/a.txt"],
     "dedup-external": ["dedup", "--in", "{other}", "{src}", "--out", "{work}/a.txt", "--external-sort",
                        "--tmp", "{work}"],
@@ -429,40 +437,50 @@ _LINE_READERS = {
     "prep-tweets": ["prep-tweets", "--in", "{src}", "--out", "{work}/a.txt"],
     "encode-labels": ["encode-labels", "--in", "{src}", "--out", "{work}/a.txt"],
     "build": ["build", "--config", "{config}"],
+    "build-config": ["build", "--config", "{src}"],
+    "stats": ["stats", "--in", "{src}"],
+}
+_READER_ROWS = {
+    "filter-config": ["# thresholds", "min_tokens = 1", "max_tokens = 3"],
+    "build-config": ["[pipeline]", "output_dir = {work}", "[source.web]", "path = {other}"],
+    "stats": ['{{"stage": "ingest", "source_id": "web", "lines_in": 3, "lines_out": 3}}',
+              '{{"stage": "filter", "source_id": "web", "lines_in": 3, "lines_out": 1, "rejects": {{"length": 2}}}}',
+              '{{"stage": "dedup", "source_id": "*", "lines_in": 1, "lines_out": 1}}'],
 }
 
 
 @pytest.mark.parametrize("command", _LINE_READERS)
 def test_every_line_reader_takes_crlf_and_refuses_a_lone_cr(tmp_path, capsys, command):
     merges, vocab = _train_toy_model(tmp_path)
-    rows = [b"1,0,1,0,1", b"0,1,1,0,0", b"1,1,1,1,1"]
     other = tmp_path / "other.txt"
-    other.write_bytes(b"".join(row + b"\n" for row in rows))
+    other.write_bytes(b"1,0,1,0,1\n0,1,1,0,0\n1,1,1,1,1\n")
+    rows = _READER_ROWS.get(command, ["1,0,1,0,1", "0,1,1,0,0", "1,1,1,1,1"])
 
-    def run(name, data):
+    def run(name, ends):
         src, work = tmp_path / name / "in.txt", tmp_path / name / "work"
         work.mkdir(parents=True, exist_ok=True)
-        src.write_bytes(data)
         config = tmp_path / name / "build.ini"
         config.write_text(f"[pipeline]\noutput_dir = {work}\n[source.web]\npath = {src}\n", encoding="utf-8")
         paths = dict(src=src, other=other, work=work, merges=merges, vocab=vocab, config=config)
+        lines = [row.format(**paths) for row in rows]
+        src.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
         code = run_cli(*(arg.format(**paths) for arg in _LINE_READERS[command]))
-        return src, code, {p.name: p.read_bytes() for p in work.iterdir()}
+        return src, lines, code, {p.name: p.read_bytes() for p in work.iterdir()}
 
-    _, code, lf = run("lf", b"".join(row + b"\n" for row in rows))
+    *_, code, lf = run("lf", ["\n"] * len(rows))
     assert code == 0
-    _, code, crlf = run("crlf", b"".join(row + b"\r\n" for row in rows))
+    *_, code, crlf = run("crlf", ["\r\n"] * len(rows))
     assert code == 0
     # the same outputs, but for the build's byte counts
     assert {n: b for n, b in crlf.items() if not n.startswith("stats")} == {
         n: b for n, b in lf.items() if not n.startswith("stats")}
     capsys.readouterr()
     # a lone CR ends line 2 and leaves the outputs of the CRLF run as they were
-    src, code, after = run("crlf", rows[0] + b"\n" + rows[1] + b"\r" + rows[2] + b"\n")
+    src, lines, code, after = run("crlf", ["\n", "\r"] + ["\n"] * (len(rows) - 2))
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [") and err.count("\n") == 1
-    assert err.endswith(f" {src}:2: record text contains a line terminator: '0,1,1,0,0\\r1,1,1,1,1'\n"), err
+    assert err.endswith(f" {src}:2: record text contains a line terminator: {lines[1] + chr(13) + lines[2]!r}\n"), err
     assert after == crlf
 
 
