@@ -34,11 +34,6 @@ def _open_out(stage, path: str):
     return open(stage(path), "w", encoding="utf-8", newline="\n")
 
 
-def _read_text(path: str) -> str:
-    with open(path, "rb") as f:
-        return "".join(line for _, line in decoded_lines(f, path))
-
-
 def cmd_ingest(args) -> int:
     if args.format == "paired" and len(args.inputs) != 2:
         raise CorpusError("paired format takes exactly two input files")
@@ -66,9 +61,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    cfg = FilterConfig()
-    if args.config:
-        cfg = pipeline.filter_config_from_mapping(pipeline.parse_flat_config(_read_text(args.config)))
+    cfg = pipeline.load_config(args.config).filter_cfg if args.config else FilterConfig()
     problems = cfg.validate()
     if problems:
         raise CorpusError("bad filter config: " + "; ".join(problems))
@@ -225,8 +218,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = pipeline.stats_from_jsonl(_read_text(args.infile))
-    _, table = pipeline.report_stats(stats)
+    with open(args.infile, "rb") as f:
+        text = "".join(line for _, line in decoded_lines(f, args.infile))
+    try:
+        _, table = pipeline.report_stats(pipeline.stats_from_jsonl(text))
+    except ValueError as e:
+        raise ValueError(f"{args.infile}: {e}") from None
     print(table, end="")
     return 0
 
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("filter", help="apply the five quality filters")
-    sp.add_argument("--config", help="flat key=value file mirroring the filter thresholds")
+    sp.add_argument("--config", help="build config document; its [filter] section sets the thresholds")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--rejects", required=True, help="audit file of reason<TAB>text lines")

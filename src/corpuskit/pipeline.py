@@ -137,38 +137,18 @@ _OPTIONS: dict[str, dict[str, Callable[[str], Any]]] = {
 }
 
 
-def _convert(kind: str, options: Mapping[str, str], section: str | None = None) -> dict[str, Any]:
+def _convert(kind: str, options: Mapping[str, str], section: str) -> dict[str, Any]:
     """Convert one section's option text through _OPTIONS, rejecting unknown
-    options and bad values; section, when given, is named in the message."""
-    where = f" in [{section}]" if section else ""
+    options and bad values with messages that name the section."""
     table = _OPTIONS[kind]
     out = {}
     for key, text in options.items():
         if key not in table:
-            raise ValueError(f"unknown {kind} option '{key}'{where}")
+            raise ValueError(f"unknown {kind} option '{key}' in [{section}]")
         try:
             out[key] = table[key](text)
         except ValueError as e:
-            raise ValueError(f"bad value for {kind} option '{key}'{where}: {e}") from None
-    return out
-
-
-def filter_config_from_mapping(mapping: Mapping[str, str]) -> FilterConfig:
-    """Build a FilterConfig from flat key/value text, rejecting unknown keys."""
-    return FilterConfig(**_convert("filter", mapping))
-
-
-def parse_flat_config(text: str) -> dict[str, str]:
-    """key = value lines; blank lines and #-comments are ignored."""
-    out: dict[str, str] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
-        out[key.strip()] = value.strip()
+            raise ValueError(f"bad value for {kind} option '{key}' in [{section}]: {e}") from None
     return out
 
 
@@ -180,10 +160,9 @@ def load_config(path: Path | str) -> PipelineConfig:
         with open(path, "rb") as f:
             parser.read_file((line for _, line in decoded_lines(f, str(path))), source=str(path))
     except configparser.Error as e:
-        raise ValueError(str(e)) from None  # message carries file and line
+        # the message carries file and line; its line breaks become spaces
+        raise ValueError(" ".join(part.strip() for part in str(e).split("\n"))) from None
 
-    if "pipeline" not in parser:
-        raise ValueError(f"{path}: missing [pipeline] section")
     if parser.defaults():  # [DEFAULT] options would leak into every section
         raise ValueError(f"{path}: unknown section [{parser.default_section}]")
     cfg = PipelineConfig(sources=[], output_dir=Path("build"))
@@ -191,7 +170,10 @@ def load_config(path: Path | str) -> PipelineConfig:
         kind, _, source_id = section.partition(".")
         if kind not in _OPTIONS or (kind == "source") != bool(source_id):
             raise ValueError(f"{path}: unknown section [{section}]")
-        options = _convert(kind, parser[section], section)
+        try:
+            options = _convert(kind, parser[section], section)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         if kind == "pipeline":
             cfg = replace(cfg, **options)
         elif kind == "filter":

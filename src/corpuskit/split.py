@@ -127,9 +127,7 @@ def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
     or from any number of shards yields the same set.
     """
     keys = list(keys)
-    hashes = _hash_keys(cfg.seed, keys)
-    cut, at_cut = _cut(hashes, keys.__getitem__, cfg.ratio)
-    return {key for key, h in zip(keys, hashes) if h < cut or (h == cut and key in at_cut)}
+    return set(_partition(keys, keys, keys.__getitem__, cfg)[0])
 
 
 def _line_key(rec: SentenceRecord) -> str:

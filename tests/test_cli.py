@@ -88,7 +88,7 @@ def test_filter_command_with_config(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("\n".join(PIPELINE_SIX_LINES) + "\n", encoding="utf-8")
     conf = tmp_path / "filter.conf"
-    conf.write_text("# thresholds\nmin_tokens = 4\n", encoding="utf-8")
+    conf.write_text("[filter]\n# thresholds\nmin_tokens = 4\n", encoding="utf-8")
     out, rej = tmp_path / "kept.txt", tmp_path / "rej.tsv"
     assert run_cli("filter", "--config", conf, "--in", src, "--out", out, "--rejects", rej) == 0
     assert out.read_text(encoding="utf-8").count("\n") == 2  # the duplicate survives filtering
@@ -102,7 +102,7 @@ def test_filter_rejects_bad_config_in_one_line(tmp_path, capsys, doc):
     src = tmp_path / "in.txt"
     src.write_text("\n".join(PIPELINE_SIX_LINES) + "\n", encoding="utf-8")
     conf = tmp_path / "filter.conf"
-    conf.write_text(doc, encoding="utf-8")
+    conf.write_text("[filter]\n" + doc, encoding="utf-8")
     out, rej = tmp_path / "kept.txt", tmp_path / "rej.tsv"
     assert run_cli("filter", "--config", conf, "--in", src, "--out", out, "--rejects", rej) == 1
     err = capsys.readouterr().err
@@ -353,7 +353,7 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, capsys, command):
     good.write_bytes(b"one two three four\nfive six seven eight\n")
     if command == "encode-vocab":  # line 2 of the model's vocabulary file
         bad.write_bytes(vocab.read_bytes().replace(b"\n", b"\n\xff", 1))
-    if command == "build-config":  # the config is parsed as it is read, so line 1 must parse
+    if command in ("filter-config", "build-config"):  # the config is parsed as it is read, so line 1 must parse
         bad.write_bytes(b"# 0,0,0,0,0\nlow \xff\t1\n")
     out = tmp_path / "out.txt"
     argv = {
@@ -441,7 +441,7 @@ _LINE_READERS = {
     "stats": ["stats", "--in", "{src}"],
 }
 _READER_ROWS = {
-    "filter-config": ["# thresholds", "min_tokens = 1", "max_tokens = 3"],
+    "filter-config": ["[filter]", "# thresholds", "min_tokens = 1", "max_tokens = 3"],
     "build-config": ["[pipeline]", "output_dir = {work}", "[source.web]", "path = {other}"],
     "stats": ['{{"stage": "ingest", "source_id": "web", "lines_in": 3, "lines_out": 3}}',
               '{{"stage": "filter", "source_id": "web", "lines_in": 3, "lines_out": 1, "rejects": {{"length": 2}}}}',
@@ -723,9 +723,55 @@ def test_build_rejects_bad_config_in_one_line(tmp_path, capsys, doc, fragment):
     conf.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n" + doc.format(src=src), encoding="utf-8")
     assert run_cli("build", "--config", conf) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [build] ") and err.count("\n") == 1
+    assert err.startswith(f"error: [build] {conf}: ") and err.count("\n") == 1
     assert fragment in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("min_tokens = 3\n", "File contains no section headers. file: '{conf}', line: 1 'min_tokens = 3\\n'"),
+    ("[filter]\nnot a pair\n", "Source contains parsing errors: '{conf}' [line  2]: 'not a pair\\n'"),
+    ("[filter]\nmin_tokens = 3\nmin_tokens = 4\n",
+     "While reading from '{conf}' [line  3]: option 'min_tokens' in section 'filter' already exists"),
+    ("[filter]\nmin_tokenz = 3\n", "{conf}: unknown filter option 'min_tokenz' in [filter]"),
+    # U+0085 is whitespace inside a line, so the value runs to the LF
+    ("[filter]\nmin_tokens = 1\x85max_tokens = 3\n", "{conf}: bad value for filter option 'min_tokens' in [filter]: "
+                                                     "invalid literal for int() with base 10: '1\\x85max_tokens = 3'"),
+], ids=["no-section-header", "malformed-line", "repeated-option", "unknown-option", "next-line-in-a-value"])
+@pytest.mark.parametrize("command", ["filter", "build"])
+def test_filter_and_build_refuse_a_config_alike(tmp_path, capsys, command, doc, message):
+    src = tmp_path / "in.txt"
+    src.write_text("\n".join(PIPELINE_SIX_LINES) + "\n", encoding="utf-8")
+    conf = tmp_path / "build.ini"
+    conf.write_text(doc, encoding="utf-8")
+    out = tmp_path / "kept.txt"
+    argv = {"filter": ["filter", "--config", conf, "--in", src, "--out", out, "--rejects", tmp_path / "rej.tsv"],
+            "build": ["build", "--config", conf]}[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: [{command}] {message.format(conf=conf)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["build.ini", "in.txt"]
+
+
+def test_cli_chain_reproduces_the_build_with_its_own_config(tmp_path):
+    """ingest -> filter --config build.ini -> dedup gives the build's
+    corpus.txt and rejects.tsv when the build has no split."""
+    src = tmp_path / "web.txt"
+    src.write_text("isa dalawa tatlo apat lima\n\none two three four\nvisit http://example.com for more info\n"
+                   "isa dalawa tatlo apat lima\nwow!!! this is so great\nang bahay ay malaki at maganda\n",
+                   encoding="utf-8")
+    conf = tmp_path / "build.ini"
+    conf.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n[filter]\nmin_tokens = 5\n"
+                    f"[source.web]\npath = {src}\n", encoding="utf-8")
+    assert run_cli("build", "--config", conf) == 0
+    ingested, kept, rej, unique = (tmp_path / name for name in ("ingested.txt", "kept.txt", "rej.tsv", "unique.txt"))
+    assert run_cli("ingest", src, "--out", ingested) == 0
+    assert run_cli("filter", "--config", conf, "--in", ingested, "--out", kept, "--rejects", rej) == 0
+    assert run_cli("dedup", "--in", kept, "--out", unique) == 0
+    assert unique.read_bytes() == (tmp_path / "out" / "corpus.txt").read_bytes()
+    assert rej.read_bytes() == (tmp_path / "out" / "rejects.tsv").read_bytes()
+    # the four-token line passes the default min_tokens = 4, so the config was read
+    assert rej.read_text(encoding="utf-8").splitlines()[0] == "Length\tone two three four"
+    assert unique.read_text(encoding="utf-8").count("\n") == 2 and rej.read_text(encoding="utf-8").count("\n") == 3
 
 
 @pytest.mark.parametrize("bad", ["{}", "[1]", '{"stage": "x", "source_id": "y", "bogus": 1}', "not json",
@@ -744,4 +790,12 @@ def test_stats_rejects_malformed_report(tmp_path, capsys, bad):
                       encoding="utf-8")
     assert run_cli("stats", "--in", report) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [stats] line 2: ") and err.count("\n") == 1
+    assert err.startswith(f"error: [stats] {report}: line 2: ") and err.count("\n") == 1
+
+
+def test_stats_names_the_file_of_an_inconsistent_report(tmp_path, capsys):
+    report = tmp_path / "stats.jsonl"
+    report.write_text('{"stage": "ingest", "source_id": "web", "lines_in": 3, "lines_out": 2}\n', encoding="utf-8")
+    assert run_cli("stats", "--in", report) == 1
+    assert capsys.readouterr().err == (f"error: [stats] {report}: inconsistent stats: stage 'ingest' source 'web': "
+                                       "lines_in=3 but out+rejects+dropped=2\n")

@@ -16,9 +16,7 @@ from corpuskit.pipeline import (
     PipelineStats,
     SourceSpec,
     StageStats,
-    filter_config_from_mapping,
     load_config,
-    parse_flat_config,
     report_stats,
     run_pipeline,
     stats_from_jsonl,
@@ -434,21 +432,15 @@ def test_load_config_document(tmp_path, six_line_source):
     assert validate_config(cfg) == []
 
 
-def test_flat_config_parsing():
-    mapping = parse_flat_config("# comment\nmin_tokens = 3\n\nawl_max = 20\n")
-    cfg = filter_config_from_mapping(mapping)
-    assert cfg.min_tokens == 3 and cfg.awl_max == 20.0
-    assert cfg.max_tokens == FilterConfig().max_tokens  # untouched default
-
-
-def test_flat_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown filter option"):
-        filter_config_from_mapping({"min_tokenz": "3"})
-
-
-def test_flat_config_rejects_bad_lines():
-    with pytest.raises(ValueError, match="line 1"):
-        parse_flat_config("not a pair\n")
+def test_a_filter_section_alone_is_a_config(tmp_path):
+    doc = tmp_path / "filter.ini"
+    doc.write_text("# comment\n[filter]\n; comment\nmin_tokens = 3\n\nawl_max = 20\n", encoding="utf-8")
+    cfg = load_config(doc)
+    assert cfg.filter_cfg.min_tokens == 3 and cfg.filter_cfg.awl_max == 20.0
+    assert cfg.filter_cfg.max_tokens == FilterConfig().max_tokens  # untouched default
+    # no [pipeline] section is the same as an empty one
+    assert cfg.output_dir == Path("build") and cfg.seed == 0
+    assert cfg.sources == [] and cfg.split_cfg is None and cfg.tokenizer_cfg is None
 
 
 def _field_names(cls, *skip):
@@ -494,12 +486,15 @@ def test_readme_example_config_loads(tmp_path):
     ("[pipeline]\n[source.web]\npath = a.txt\nside = left\n", ["'side'", "[source.web]", "'left'"]),
     ("[pipeline]\n[source]\npath = a.txt\n", ["unknown section [source]"]),
     ("[DEFAULT]\nformat = tsv\n[pipeline]\n", ["unknown section [DEFAULT]"]),
+    ("[filter]\nmin_tokenz = 3\n", ["unknown filter option 'min_tokenz' in [filter]"]),
 ], ids=["unknown-section", "unknown-source-option", "unknown-split-option", "no-path", "bad-int",
-        "bad-side", "source-without-id", "default-section"])
+        "bad-side", "source-without-id", "default-section", "unknown-filter-option"])
 def test_config_errors_name_section_and_option(tmp_path, doc, fragments):
     path = tmp_path / "build.ini"
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         load_config(path)
+    assert str(exc.value).startswith(f"{path}: ")
     for fragment in fragments:
         assert fragment in str(exc.value)
+
