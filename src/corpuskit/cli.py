@@ -211,6 +211,8 @@ def cmd_make_nli(args) -> int:
 
 def cmd_build(args) -> int:
     cfg = pipeline.load_config(args.config)
+    if not cfg.sources:  # a [filter]-only document would build an empty corpus
+        raise ValueError(f"{args.config}: no [source.<id>] section, so there is nothing to build")
     stats = pipeline.run_pipeline(cfg)
     _, table = pipeline.report_stats(stats)
     print(table, end="")

@@ -18,12 +18,15 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
 from .core import CorpusError, SentenceRecord, decoded_lines, staged_outputs
@@ -244,23 +247,28 @@ def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecor
             yield from extract_bitext_side(pairs, spec.side, spec.source_id, counts)
 
 
-def _write_lines(path: str, records: Iterable[SentenceRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for rec in records:
-            f.write(rec.text + "\n")
+class _KeptLine(NamedTuple):
+    """A kept line's provenance, without its text: the split's unit."""
+
+    source_id: str
+    line_no: int
 
 
-def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, stats: PipelineStats) -> list[SentenceRecord]:
+def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: str,
+                         stats: PipelineStats) -> dict[str, array]:
     """Stream each source, in config order, through the filters and one
-    keep-first dedup shared by all sources; filter rejects go to rejects.tsv."""
+    keep-first dedup shared by all sources. Filter rejects go to rejects.tsv
+    and survivors to corpus.txt; return each source's kept line numbers."""
     seen: set[bytes] = set()
-    kept: list[SentenceRecord] = []
+    kept: dict[str, array] = {}
     dedup_stats: list[StageStats] = []
-    with open(rejects_path, "w", encoding="utf-8", newline="\n") as rejects_file:
+    with open(rejects_path, "w", encoding="utf-8", newline="\n") as rejects_file, \
+            open(corpus_path, "w", encoding="utf-8", newline="\n") as corpus_file:
         for spec in cfg.sources:
             counts: Counter = Counter()
             filter_rejects: Counter = Counter()
-            n_records = n_passed = n_kept = 0
+            line_nos = kept[spec.source_id] = array("Q")
+            n_records = n_passed = 0
             try:
                 for rec in _source_records(spec, counts):
                     n_records += 1
@@ -273,8 +281,8 @@ def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, stats: Pipeline
                     key = dedup_key(rec.text)
                     if key not in seen:
                         seen.add(key)
-                        kept.append(rec)
-                        n_kept += 1
+                        corpus_file.write(rec.text + "\n")
+                        line_nos.append(rec.line_no)
             except (CorpusError, OSError, ValueError) as e:
                 raise PipelineError("ingest", str(e), spec.source_id) from e
 
@@ -284,36 +292,64 @@ def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, stats: Pipeline
                                            lines_out=n_records, rejects=ingest_rejects, bytes_in=bytes_in))
             stats.stages.append(StageStats("filter", spec.source_id, lines_in=n_records,
                                            lines_out=n_passed, rejects=dict(filter_rejects)))
-            dedup_stats.append(StageStats("dedup", spec.source_id, lines_in=n_passed, lines_out=n_kept,
-                                          duplicates_dropped=n_passed - n_kept))
+            dedup_stats.append(StageStats("dedup", spec.source_id, lines_in=n_passed, lines_out=len(line_nos),
+                                          duplicates_dropped=n_passed - len(line_nos)))
     stats.stages.extend(dedup_stats)
     return kept
 
 
-def _split(cfg: PipelineConfig, kept: list[SentenceRecord], path_a: str, path_b: str,
-           stats: PipelineStats) -> list[SentenceRecord]:
-    """Write the two sides to path_a and path_b; return side A, the pretraining side."""
-    side_a, side_b = split_corpus(kept, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))
-    _write_lines(path_a, side_a)
-    _write_lines(path_b, side_b)
-    per_source_a = Counter(r.source_id for r in side_a)
-    per_source_b = Counter(r.source_id for r in side_b)
+def _split(cfg: PipelineConfig, kept: dict[str, array], corpus_path: str, path_a: str, path_b: str,
+           stats: PipelineStats) -> int:
+    """Route each line of corpus.txt to path_a or path_b; return the number of side-A lines."""
+    items = [_KeptLine(source_id, line_no) for source_id, line_nos in kept.items() for line_no in line_nos]
+    side_a, _ = split_corpus(items, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))
+    # Side A is a subsequence of items, which are in corpus.txt's line order.
+    # The build wrote that file, so its lines are routed as they are.
+    next_a = iter(side_a)
+    want = next(next_a, None)
+    with open(corpus_path, "rb") as corpus, open(path_a, "wb") as out_a, open(path_b, "wb") as out_b:
+        for item, line in zip(items, corpus, strict=True):
+            if item == want:
+                out_a.write(line)
+                want = next(next_a, None)
+            else:
+                out_b.write(line)
+    per_source_a = Counter(item.source_id for item in side_a)
     for spec in cfg.sources:
-        n_a, n_b = per_source_a[spec.source_id], per_source_b[spec.source_id]
-        stats.stages.append(StageStats("split", spec.source_id, lines_in=n_a + n_b, lines_out=n_a + n_b,
-                                       extra={"side_a": n_a, "side_b": n_b}))
-    return side_a
+        n = len(kept[spec.source_id])
+        n_a = per_source_a[spec.source_id]
+        stats.stages.append(StageStats("split", spec.source_id, lines_in=n, lines_out=n,
+                                       extra={"side_a": n_a, "side_b": n - n_a}))
+    return len(side_a)
 
 
-def _train_bpe(cfg: PipelineConfig, corpus: list[SentenceRecord], merges_path: str, vocab_path: str,
+def _train_bpe(cfg: PipelineConfig, corpus_path: str, n_lines: int, merges_path: str, vocab_path: str,
                stats: PipelineStats) -> None:
+    """Train on the n_lines lines of the staged file corpus_path."""
     try:
-        model = learn_bpe((r.text for r in corpus), cfg.tokenizer_cfg)
+        with open(corpus_path, "rb") as corpus:
+            model = learn_bpe((line for _, line in decoded_lines(corpus, corpus_path)), cfg.tokenizer_cfg)
     except ValueError as e:
         raise PipelineError("train-bpe", str(e)) from e
     save_model(model, merges_path, vocab_path)
-    stats.stages.append(StageStats("train-bpe", "*", lines_in=len(corpus), lines_out=len(corpus),
+    stats.stages.append(StageStats("train-bpe", "*", lines_in=n_lines, lines_out=n_lines,
                                    extra={"vocab_size": len(model.vocab), "merges": len(model.merges)}))
+
+
+def _private(stage: Callable[[str], str], path: str, scratch: str) -> tuple[str, str]:
+    """Return (where the build writes path's content and reads it back, where
+    that content goes). Both are path's staged file, unless stage() writes
+    path in place: a symlink to /dev/null or a FIFO gives back nothing of
+    what went in, so the content goes to a private file in scratch, and
+    _publish copies it to path."""
+    out = stage(path)
+    return (os.path.join(scratch, os.path.basename(path)) if out == path else out), out
+
+
+def _publish(written: str, out: str) -> None:
+    if written != out:
+        with open(written, "rb") as src, open(out, "wb") as dst:
+            shutil.copyfileobj(src, dst)
 
 
 def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
@@ -323,6 +359,9 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
     byte for byte. The files are committed in the order rejects.tsv,
     corpus.txt, split_a.txt, split_b.txt, bpe.merges.txt, bpe.vocab.txt,
     stats.txt, stats.jsonl; a run that fails before the commit replaces none.
+    Memory holds each kept line's provenance, not its text: the text goes
+    to the staged corpus.txt, and the split and the tokenizer read it back
+    from files the build owns, even where an output is written in place.
     """
     problems = validate_config(cfg)
     if problems:
@@ -332,14 +371,20 @@ def run_pipeline(cfg: PipelineConfig, log=sys.stderr) -> PipelineStats:
     stats = PipelineStats()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with staged_outputs() as stage:
-        kept = _ingest_filter_dedup(cfg, stage(out_dir / "rejects.tsv"), stats)
-        _write_lines(stage(out_dir / "corpus.txt"), kept)
+    with staged_outputs() as stage, tempfile.TemporaryDirectory(prefix="corpuskit-") as scratch:
+        rejects_path = stage(out_dir / "rejects.tsv")
+        corpus_path, corpus_out = _private(stage, str(out_dir / "corpus.txt"), scratch)
+        kept = _ingest_filter_dedup(cfg, rejects_path, corpus_path, stats)
+        _publish(corpus_path, corpus_out)
+        train_path, n_train = corpus_path, sum(map(len, kept.values()))
         if cfg.split_cfg is not None:
-            # Rebinding frees the side-B records before training, which reads side A only.
-            kept = _split(cfg, kept, stage(out_dir / "split_a.txt"), stage(out_dir / "split_b.txt"), stats)
+            train_path, split_a_out = _private(stage, str(out_dir / "split_a.txt"), scratch)
+            n_train = _split(cfg, kept, corpus_path, train_path, stage(out_dir / "split_b.txt"), stats)
+            _publish(train_path, split_a_out)
+        del kept  # training needs no provenance
         if cfg.tokenizer_cfg is not None:
-            _train_bpe(cfg, kept, stage(out_dir / "bpe.merges.txt"), stage(out_dir / "bpe.vocab.txt"), stats)
+            _train_bpe(cfg, train_path, n_train, stage(out_dir / "bpe.merges.txt"),
+                       stage(out_dir / "bpe.vocab.txt"), stats)
 
         jsonl, table = report_stats(stats)
         Path(stage(out_dir / "stats.txt")).write_text(table, encoding="utf-8")

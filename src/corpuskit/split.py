@@ -24,7 +24,6 @@ from itertools import compress, islice
 from operator import eq
 from typing import Callable, Iterable, Sequence
 
-from .core import SentenceRecord
 from .dedup import blake2b
 
 _KEY_SEP = "\x1f"
@@ -130,9 +129,9 @@ def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
     return set(_partition(keys, keys, keys.__getitem__, cfg)[0])
 
 
-def _line_key(rec: SentenceRecord) -> str:
-    """A record's unit key under unit=LINE: its source and physical line."""
-    return f"{rec.source_id}{_KEY_SEP}{rec.line_no}"
+def _line_key(item) -> str:
+    """An item's unit key under unit=LINE: its source and physical line."""
+    return f"{item.source_id}{_KEY_SEP}{item.line_no}"
 
 
 def _partition(items: Sequence, keys: Iterable[str], key_at: Callable[[int], str],
@@ -147,18 +146,16 @@ def _partition(items: Sequence, keys: Iterable[str], key_at: Callable[[int], str
     return a, b
 
 
-def split_corpus(
-    records: Iterable[SentenceRecord],
-    cfg: SplitConfig,
-) -> tuple[list[SentenceRecord], list[SentenceRecord]]:
-    """Partition records into (A, B); with unit=DOCUMENT all records sharing a
-    source_id move together. Input order is preserved within each side."""
-    records = list(records)
+def split_corpus(items: Iterable, cfg: SplitConfig) -> tuple[list, list]:
+    """Partition items with a source_id and a line_no into (A, B); with
+    unit=DOCUMENT all items sharing a source_id move together. Each side
+    holds the given items, in input order."""
+    items = list(items)
     if cfg.unit is SplitUnit.DOCUMENT:
-        # Rank each source once; its records follow it.
-        side_a = assign_split(dict.fromkeys(r.source_id for r in records), cfg)
-        return [r for r in records if r.source_id in side_a], [r for r in records if r.source_id not in side_a]
-    return _partition(records, map(_line_key, records), lambda i: _line_key(records[i]), cfg)
+        # Rank each source once; its items follow it.
+        side_a = assign_split(dict.fromkeys(r.source_id for r in items), cfg)
+        return [r for r in items if r.source_id in side_a], [r for r in items if r.source_id not in side_a]
+    return _partition(items, map(_line_key, items), lambda i: _line_key(items[i]), cfg)
 
 
 def split_articles(

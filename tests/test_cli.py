@@ -752,6 +752,15 @@ def test_filter_and_build_refuse_a_config_alike(tmp_path, capsys, command, doc, 
     assert sorted(os.listdir(tmp_path)) == ["build.ini", "in.txt"]
 
 
+def test_build_refuses_a_config_without_sources(tmp_path, capsys):
+    conf = tmp_path / "filter.ini"
+    conf.write_text(f"[pipeline]\noutput_dir = {tmp_path / 'out'}\n[filter]\nmin_tokens = 3\n", encoding="utf-8")
+    assert run_cli("build", "--config", conf) == 1
+    assert capsys.readouterr().err == (
+        f"error: [build] {conf}: no [source.<id>] section, so there is nothing to build\n")
+    assert sorted(os.listdir(tmp_path)) == ["filter.ini"]
+
+
 def test_cli_chain_reproduces_the_build_with_its_own_config(tmp_path):
     """ingest -> filter --config build.ini -> dedup gives the build's
     corpus.txt and rejects.tsv when the build has no split."""

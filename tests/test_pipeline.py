@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 import stat
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -186,6 +187,82 @@ def test_full_build_is_byte_deterministic(tmp_path):
         assert sorted(p.name for p in cfg.output_dir.iterdir()) == sorted(MIXED_BUILD_SHA256)
 
 
+# Lines that hold characters str.splitlines() breaks on but a line of the
+# corpus does not: the build must keep each as one line in every artifact.
+SEPARATOR_LINES = [
+    "unang pangungusap\u2028na may hating talata sa gitna",
+    "ikalawang pangungusap\x85na may susunod na linya rin",
+    "ikatlong pangungusap\x1cna may hating talaksan po",
+    "lahat\u2028ng tatlong\x85uri ay\x1cnarito sa isang linya",
+]
+
+# SHA-256 of every artifact of two more build shapes on the mixed sources
+# plus SEPARATOR_LINES: a document split whose side A trains the tokenizer,
+# and a tokenizer trained on corpus.txt with no split.
+PINNED_SHAPES_SHA256 = {
+    "document-split": {
+        "bpe.merges.txt": "c11fc3e12e1a24ff5ea80645abce48adfe3a19465c8698fef112545e8a538e8b",
+        "bpe.vocab.txt": "a5012b83a54571195fcee46256a853a7fc137eb73b239e47261fa1d41c018bfd",
+        "corpus.txt": "e5327593c198ff12f52073a3ba494237a0461b412fad4709ead572979acbd2bf",
+        "rejects.tsv": "d2661aebaec4b46a87b257afb9446990a61b54dbf0df783d28cc0dbe2386368a",
+        "split_a.txt": "6b35534ecfb1268617e7645769c50445a1b715da41e4383f8ee3dd8e52d993d7",
+        "split_b.txt": "6312697be525d85f750f84678da0d83e765b83f04487418eabf9707a548172a4",
+        "stats.jsonl": "3bb0e426444e5f51e637f7c6f345ffe4cab9759a4de66e648c10fb142105f180",
+        "stats.txt": "50a210e5efb3886999432d8fa3214c7ce0d5108007ae2dce7f1b88c8290a27dd",
+    },
+    "no-split": {
+        "bpe.merges.txt": "ede94a95b757f2cf798f795c6e7deb74aafd0a25c992fbecef41b13b4c0073fe",
+        "bpe.vocab.txt": "1411d45045acc07dc83a52e2c5806218ccf7219fa81715d67d4359887a955a0f",
+        "corpus.txt": "e5327593c198ff12f52073a3ba494237a0461b412fad4709ead572979acbd2bf",
+        "rejects.tsv": "d2661aebaec4b46a87b257afb9446990a61b54dbf0df783d28cc0dbe2386368a",
+        "stats.jsonl": "17fa4efea363c8770748a33c107b8d0d15bc1032f4b32929e337a57377b2a5ac",
+        "stats.txt": "cced6915f42ae28cbb69aa20933e4b7f83e2d964fa76be8307f05cf08759914a",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_SHAPES_SHA256))
+def test_pinned_build_shapes_are_byte_identical(tmp_path, shape):
+    separators = tmp_path / "separators.txt"
+    separators.write_text("".join(line + "\n" for line in SEPARATOR_LINES), encoding="utf-8")
+    split_cfg = SplitConfig(ratio=0.6, seed=0, unit=SplitUnit.DOCUMENT) if shape == "document-split" else None
+    cfg = PipelineConfig(
+        sources=[*_write_mixed_sources(tmp_path), SourceSpec("separators", separators)],
+        output_dir=tmp_path / "out",
+        seed=20260808,
+        split_cfg=split_cfg,
+        tokenizer_cfg=TokenizerConfig(vocab_size=120),
+    )
+    stats = run_pipeline(cfg, log=None)
+    # every separator line survives as one line of the file the tokenizer trains on
+    trained_on = "split_a.txt" if split_cfg else "corpus.txt"
+    lines = (cfg.output_dir / trained_on).read_bytes().split(b"\n")
+    assert all(line.encode("utf-8") in lines for line in SEPARATOR_LINES)
+    assert stats.total("train-bpe", "lines_in") == len(lines) - 1
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in cfg.output_dir.iterdir()}
+    assert digests == PINNED_SHAPES_SHA256[shape]
+
+
+def test_the_build_holds_no_corpus_text(tmp_path):
+    # 2,000 distinct kept lines of ~700 characters: a build that held them
+    # as records would peak above the input size.
+    words = ("maganda", "umaga", "balita", "bayan", "ngayon", "kasama", "paaralan", "lungsod")
+    web = tmp_path / "web.txt"
+    web.write_text("".join(
+        f"linya{i} " + " ".join(words[(i + k) % len(words)] for k in range(100)) + "\n" for i in range(2000)
+    ), encoding="utf-8")
+    cfg = _cfg(tmp_path, [SourceSpec("web", web)], filter_cfg=FilterConfig(max_tokens=200),
+               split_cfg=SplitConfig(ratio=0.5, seed=0, unit=SplitUnit.LINE))
+    tracemalloc.start()
+    try:
+        stats = run_pipeline(cfg, log=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.total("dedup", "lines_out") == 2000
+    assert peak < 0.5 * web.stat().st_size
+
+
 def test_split_outputs_partition_corpus(tmp_path):
     sources = _write_mixed_sources(tmp_path)
     cfg = PipelineConfig(
@@ -336,6 +413,28 @@ def test_build_writes_through_a_symlinked_output(tmp_path, six_line_source):
     assert rejects.is_symlink() and os.readlink(rejects) == os.devnull
     assert (cfg.output_dir / "corpus.txt").read_text(encoding="utf-8") == "magandang umaga sa inyong lahat\n"
     assert not [name for name in os.listdir(os.path.dirname(os.devnull)) if name.startswith(".corpuskit-")]
+
+
+@pytest.mark.parametrize("linked", [("corpus.txt",), ("split_a.txt",), ("corpus.txt", "split_a.txt")])
+def test_build_reads_back_its_own_text_when_outputs_go_to_devnull(tmp_path, linked):
+    """The split reads corpus.txt back and the tokenizer split_a.txt; with
+    either linked to /dev/null they still see every kept line."""
+    def build(out_dir, devnull_names=()):
+        cfg = PipelineConfig(sources=sources, output_dir=out_dir, seed=20260808,
+                             split_cfg=SplitConfig(ratio=0.6, seed=0, unit=SplitUnit.LINE),
+                             tokenizer_cfg=TokenizerConfig(vocab_size=120))
+        out_dir.mkdir()
+        for name in devnull_names:
+            (out_dir / name).symlink_to(os.devnull)
+        run_pipeline(cfg, log=None)
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    sources = _write_mixed_sources(tmp_path)
+    normal = build(tmp_path / "normal")
+    linked_build = build(tmp_path / "linked", linked)
+    assert all(linked_build.pop(name) == b"" for name in linked)
+    assert linked_build == {name: data for name, data in normal.items() if name not in linked}
+    assert all(os.readlink(tmp_path / "linked" / name) == os.devnull for name in linked)
 
 
 def test_build_outputs_keep_their_permissions_or_take_the_umask_default(tmp_path, six_line_source):
