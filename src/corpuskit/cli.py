@@ -114,10 +114,10 @@ def cmd_split(args) -> int:
         # Lines are keyed by the file's base name, so `a.txt` and `./a.txt` split alike.
         with open(args.infile, "rb") as f:
             units = list(read_plain_corpus(f, Path(args.infile).name))
-        sides = split_corpus(units, cfg)
+        sides = split_corpus(units, cfg)  # positions in units
 
-        def render(rec):
-            return rec.text + "\n"
+        def render(i):
+            return units[i].text + "\n"
     with staged_outputs() as stage, _open_out(stage, args.out_a) as out_a, _open_out(stage, args.out_b) as out_b:
         for out, side in zip((out_a, out_b), sides):
             out.writelines(map(render, side))

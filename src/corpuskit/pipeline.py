@@ -23,8 +23,11 @@ import sys
 import tempfile
 import time
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
@@ -254,6 +257,31 @@ class _KeptLine(NamedTuple):
     line_no: int
 
 
+class _KeptLines(Sequence):
+    """The kept lines in corpus.txt order, as a read-only Sequence of
+    _KeptLine. Each item is made when it is read, from the sources' arrays
+    of kept line numbers, so the view holds nothing per line."""
+
+    def __init__(self, kept: dict[str, array]):
+        self._kept = kept
+        self._source_ids = list(kept)
+        self.ends = list(accumulate(map(len, kept.values())))  # each source's end position
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, i: int) -> _KeptLine:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        s = bisect_right(self.ends, i)
+        source_id = self._source_ids[s]
+        return _KeptLine(source_id, self._kept[source_id][i - (self.ends[s - 1] if s else 0)])
+
+    def __iter__(self) -> Iterator[_KeptLine]:
+        for source_id, line_nos in self._kept.items():
+            yield from map(_KeptLine._make, zip(repeat(source_id), line_nos))
+
+
 def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: str,
                          stats: PipelineStats) -> dict[str, array]:
     """Stream each source, in config order, through the filters and one
@@ -301,25 +329,25 @@ def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: st
 def _split(cfg: PipelineConfig, kept: dict[str, array], corpus_path: str, path_a: str, path_b: str,
            stats: PipelineStats) -> int:
     """Route each line of corpus.txt to path_a or path_b; return the number of side-A lines."""
-    items = [_KeptLine(source_id, line_no) for source_id, line_nos in kept.items() for line_no in line_nos]
-    side_a, _ = split_corpus(items, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))
-    # Side A is a subsequence of items, which are in corpus.txt's line order.
-    # The build wrote that file, so its lines are routed as they are.
+    lines = _KeptLines(kept)
+    side_a = split_corpus(lines, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))[0]
+    # Side A is ascending positions in lines, which are in corpus.txt's line
+    # order. The build wrote that file, so its lines are routed as they are.
     next_a = iter(side_a)
     want = next(next_a, None)
     with open(corpus_path, "rb") as corpus, open(path_a, "wb") as out_a, open(path_b, "wb") as out_b:
-        for item, line in zip(items, corpus, strict=True):
-            if item == want:
+        for i, line in zip(range(len(lines)), corpus, strict=True):
+            if i == want:
                 out_a.write(line)
                 want = next(next_a, None)
             else:
                 out_b.write(line)
-    per_source_a = Counter(item.source_id for item in side_a)
-    for spec in cfg.sources:
-        n = len(kept[spec.source_id])
-        n_a = per_source_a[spec.source_id]
+    start = 0
+    for spec, end in zip(cfg.sources, lines.ends, strict=True):
+        n, n_a = end - start, bisect_left(side_a, end) - bisect_left(side_a, start)
         stats.stages.append(StageStats("split", spec.source_id, lines_in=n, lines_out=n,
                                        extra={"side_a": n_a, "side_b": n - n_a}))
+        start = end
     return len(side_a)
 
 

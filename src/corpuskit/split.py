@@ -6,9 +6,11 @@ assignment depends only on (seed, unit key), never on processing order, so
 any number of workers produces the identical partition, and the quota is
 exact: 1000 documents at ratio 0.6 give 600/400 every time.
 
-The ranking keeps one unsigned 64-bit int per item and compares hashes as
-ints. Keys are built and compared only for items whose hash another item
-shares: a repeated key or a true collision.
+The ranking keeps one unsigned 64-bit int per item and never sorts them
+all: the hashes are grouped by their top bits, and only the group that
+holds the cut is sorted. Keys are built and compared only for items whose
+hash another item shares: a repeated key or a true collision. The sides
+come back as ascending positions into the input, one 64-bit int per item.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import enum
 import math
 import sys
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
-from operator import eq
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .dedup import blake2b
@@ -91,32 +92,70 @@ def _hash_keys(seed: int, keys: Iterable[str]) -> array:
 def _cut(hashes: array, key_at: Callable[[int], str], ratio: float) -> tuple[int, frozenset[str]]:
     """Rank the distinct keys by (hash, key) and cut after ceil(ratio * n_distinct).
 
-    Item i goes to subset A iff hashes[i] < cut, or hashes[i] == cut and its
-    key is in the returned set. key_at(i) is called only for items whose hash
-    another item shares, and for one item when the cut falls on a lone hash.
+    Item i goes to subset A iff hashes[i] < bound, or hashes[i] == bound and
+    its key is in the returned set, which is empty unless the cut splits the
+    keys of one shared hash. key_at(i) is called only for items whose hash
+    another item shares: a repeated key or a true collision.
+
+    Nothing sorts every hash. One pass groups the hashes by their top bits,
+    about a hundred to a bucket and at most 65,536 buckets; equal hashes are
+    found bucket by bucket, and only the bucket that holds the cut is sorted.
     """
-    ranked = sorted(hashes)
-    shared = set(compress(ranked, map(eq, ranked, islice(ranked, 1, None))))
+    shift = 64 - min(16, max(0, len(hashes).bit_length() - 7))
+    buckets = [array("Q") for _ in range(1 << (64 - shift))]
+    append = [bucket.append for bucket in buckets]
+    for h in hashes:
+        append[h >> shift](h)
+    # Distinct hashes per bucket, then distinct keys once shared hashes count theirs.
+    sizes = [len(set(bucket)) for bucket in buckets]
     keys_at: dict[int, set[str]] = {}
-    if shared:
-        for i, h in enumerate(hashes):
-            if h in shared:
-                keys_at.setdefault(h, set()).add(key_at(i))
-        ranked = list(dict.fromkeys(ranked))
-    quota = split_quota(ratio, len(ranked) + sum(len(keys) - 1 for keys in keys_at.values()))
+    for bucket, size in zip(buckets, sizes):
+        if size < len(bucket):
+            keys_at.update((h, set()) for h, count in Counter(bucket).items() if count > 1)
+    if keys_at:
+        for i in compress(range(len(hashes)), map(keys_at.__contains__, hashes)):
+            keys_at[hashes[i]].add(key_at(i))
+        for h, keys in keys_at.items():
+            sizes[h >> shift] += len(keys) - 1
+    quota = split_quota(ratio, sum(sizes))
     if quota == 0:
         return 0, frozenset()
-    extra = 0  # keys beyond the first at each shared hash passed so far
-    for h in sorted(keys_at):
-        before = bisect_left(ranked, h) + extra  # distinct keys ranked below h
-        if quota <= before:
+    below = 0  # distinct keys ranked below the bucket, then below the hash
+    for bucket, size in zip(buckets, sizes):
+        if quota <= below + size:
             break
-        keys = keys_at[h]
-        if quota <= before + len(keys):
-            return h, frozenset(sorted(keys)[: quota - before])
-        extra += len(keys) - 1
-    h = ranked[quota - 1 - extra]
-    return h, frozenset((key_at(hashes.index(h)),))
+        below += size
+    for h in sorted(set(bucket)):
+        keys = keys_at.get(h, ())
+        width = len(keys) or 1  # distinct keys at h
+        if quota <= below + width:
+            taken = sorted(keys)[: quota - below]
+            return (h, frozenset(taken)) if len(taken) < len(keys) else (h + 1, frozenset())
+        below += width
+    raise AssertionError("the quota exceeds the distinct keys")
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _sides(on_a: bytes | bytearray) -> tuple[array, array]:
+    """The ascending positions flagged 1 and those flagged 0."""
+    positions = range(len(on_a))
+    return array("Q", compress(positions, on_a)), array("Q", compress(positions, on_a.translate(_FLIP)))
+
+
+def _partition(keys: Iterable[str], key_at: Callable[[int], str], cfg: SplitConfig) -> tuple[array, array]:
+    """Split the items whose keys are given in order, and again one at a time
+    by key_at(i), which is asked only at shared hashes, into the positions
+    of each side."""
+    hashes = _hash_keys(cfg.seed, keys)
+    bound, keys_at_bound = _cut(hashes, key_at, cfg.ratio)
+    on_a = bytearray(map(bound.__gt__, hashes))
+    if keys_at_bound:
+        for i in compress(range(len(hashes)), map(bound.__eq__, hashes)):
+            on_a[i] = key_at(i) in keys_at_bound
+    del hashes
+    return _sides(on_a)
 
 
 def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
@@ -126,7 +165,7 @@ def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
     or from any number of shards yields the same set.
     """
     keys = list(keys)
-    return set(_partition(keys, keys, keys.__getitem__, cfg)[0])
+    return set(map(keys.__getitem__, _partition(keys, keys.__getitem__, cfg)[0]))
 
 
 def _line_key(item) -> str:
@@ -134,28 +173,18 @@ def _line_key(item) -> str:
     return f"{item.source_id}{_KEY_SEP}{item.line_no}"
 
 
-def _partition(items: Sequence, keys: Iterable[str], key_at: Callable[[int], str],
-               cfg: SplitConfig) -> tuple[list, list]:
-    """Split items by the ranking of their keys, given in item order and
-    again one at a time by key_at(i), which is asked only at shared hashes."""
-    hashes = _hash_keys(cfg.seed, keys)
-    cut, at_cut = _cut(hashes, key_at, cfg.ratio)
-    a, b = [], []
-    for i, h in enumerate(hashes):
-        (a if h < cut or (h == cut and key_at(i) in at_cut) else b).append(items[i])
-    return a, b
+def split_corpus(items: Sequence, cfg: SplitConfig) -> tuple[array, array]:
+    """Partition items with a source_id and a line_no into sides A and B,
+    each given as the ascending positions of its items in items; with
+    unit=DOCUMENT all items sharing a source_id move together.
 
-
-def split_corpus(items: Iterable, cfg: SplitConfig) -> tuple[list, list]:
-    """Partition items with a source_id and a line_no into (A, B); with
-    unit=DOCUMENT all items sharing a source_id move together. Each side
-    holds the given items, in input order."""
-    items = list(items)
+    items is read in order once to hash it, and indexed only at shared
+    hashes, so a lazy Sequence works and no item outlives its hashing."""
     if cfg.unit is SplitUnit.DOCUMENT:
         # Rank each source once; its items follow it.
         side_a = assign_split(dict.fromkeys(r.source_id for r in items), cfg)
-        return [r for r in items if r.source_id in side_a], [r for r in items if r.source_id not in side_a]
-    return _partition(items, map(_line_key, items), lambda i: _line_key(items[i]), cfg)
+        return _sides(bytes(r.source_id in side_a for r in items))
+    return _partition(map(_line_key, items), lambda i: _line_key(items[i]), cfg)
 
 
 def split_articles(
@@ -166,4 +195,5 @@ def split_articles(
     def key_at(i: int) -> str:
         return f"article{_KEY_SEP}{i}"
 
-    return _partition(articles, map(key_at, range(len(articles))), key_at, cfg)
+    a, b = _partition(map(key_at, range(len(articles))), key_at, cfg)
+    return list(map(articles.__getitem__, a)), list(map(articles.__getitem__, b))

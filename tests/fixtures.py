@@ -8,7 +8,9 @@ the tweet cases, by hand-applying the four cleanup stages in order.
 
 from __future__ import annotations
 
+import builtins
 import errno
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -193,6 +195,35 @@ def fail_on_replace(monkeypatch, k: int) -> None:
     monkeypatch.setattr(os, "replace", replace)
 
 
+def refuse_writes_in(monkeypatch, directory) -> None:
+    """Make directory refuse writes from now on, as a read-only file system
+    does even for root: opening an entry of it to write and making a
+    directory in it raise EACCES naming the path. Mode bits would not stop
+    root, so this patches open, io.open and os.mkdir instead."""
+    directory = os.path.abspath(directory)
+    real_open, real_mkdir = builtins.open, os.mkdir
+
+    def refused(path) -> bool:
+        return isinstance(path, (str, os.PathLike)) and os.path.dirname(os.path.abspath(path)) == directory
+
+    def deny(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+
+    def open_(file, mode="r", *args, **kwargs):
+        if refused(file) and set(mode) & set("wax+"):
+            deny(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def mkdir(path, *args, **kwargs):
+        if refused(path):
+            deny(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
+    monkeypatch.setattr(os, "mkdir", mkdir)
+
+
 @contextmanager
 def umask(mask: int):
     old = os.umask(mask)
@@ -200,3 +231,8 @@ def umask(mask: int):
         yield
     finally:
         os.umask(old)
+
+
+def picked(items, sides) -> tuple[list, list]:
+    """The items at split_corpus's side positions: (side A, side B) as lists."""
+    return tuple([items[i] for i in side] for side in sides)

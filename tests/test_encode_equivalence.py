@@ -1,7 +1,8 @@
 """Property: encode gives the pieces of the rank-ordered reference segmenter
 (tests/oracles.py) on random models: shuffled merge order, duplicated
 pairs, merge outputs dropped from the vocabulary, unknown characters,
-specials that spell ordinary words, and character coverage below 1."""
+specials that spell ordinary words, and character coverage below 1.
+Property: decode inverts encode on text the model covers."""
 
 import pytest
 
@@ -9,13 +10,24 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from corpuskit.bpe import DEFAULT_SPECIALS, BpeModel, TokenizerConfig, encode, learn_bpe
+from corpuskit.bpe import DEFAULT_SPECIALS, WORD_END, BpeModel, TokenizerConfig, decode, encode, learn_bpe
 
 import oracles
 
 _CHARS = "abéñ</w>"
 _WORD = st.text(st.sampled_from(_CHARS), min_size=1, max_size=8)
 _UNSEEN = st.text(st.sampled_from(_CHARS + "Zß"), min_size=1, max_size=8)
+
+
+def _trained(lines, cfg, extra):
+    """The model of the largest vocabulary size up to a bound plus extra that trains."""
+    bound = len(cfg.special_tokens) + 2 * len(set("".join(lines).replace(" ", "")))
+    for size in range(bound + extra, 0, -1):
+        try:
+            return learn_bpe(lines, TokenizerConfig(size, cfg.character_coverage, cfg.special_tokens))
+        except ValueError:  # merges exhausted at this size, or the alphabet does not fit
+            continue
+    raise AssertionError("no vocabulary size trains")
 
 
 @settings(max_examples=300, deadline=None)
@@ -54,3 +66,21 @@ def test_encode_pieces_equal_the_rank_ordered_reference(words, coverage, data):
         pieces = [word] if word in specials else oracles.rank_ordered_segment(word, merges, known, specials[0])
         expected += [vocab.get(p, unk_id) for p in pieces]
     assert encode(model, text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(_WORD, min_size=1, max_size=15), coverage=st.sampled_from([1.0, 0.9, 0.7]),
+       data=st.data())
+def test_decode_inverts_encode_on_covered_text(words, coverage, data):
+    lines = [" ".join(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6))) for _ in range(5)]
+    model = _trained(lines, TokenizerConfig(character_coverage=coverage), data.draw(st.integers(0, 30)))
+    covered = sorted(s for s in model.vocab if len(s) == 1 and s not in model.special_tokens)
+    # Learned words with no character dropped by coverage, and new words of
+    # covered characters. No word spells the in-band marker </w>: decode
+    # cannot tell it from a word end, a known defect.
+    learned = [w for w in words if set(w) <= set(covered)]
+    word = st.text(st.sampled_from(covered), min_size=1, max_size=8)
+    if learned:
+        word = st.one_of(st.sampled_from(learned), word)
+    text = " ".join(data.draw(st.lists(word.filter(lambda w: WORD_END not in w), max_size=8)))
+    assert decode(model, encode(model, text)) == text

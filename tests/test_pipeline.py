@@ -26,7 +26,7 @@ from corpuskit.pipeline import (
 from corpuskit.split import SplitConfig, SplitUnit
 from corpuskit.bpe import TokenizerConfig
 
-from fixtures import PIPELINE_SIX_LINES, fail_on_replace, umask
+from fixtures import PIPELINE_SIX_LINES, fail_on_replace, refuse_writes_in, umask
 
 
 @pytest.fixture
@@ -366,6 +366,20 @@ def test_a_failed_commit_keeps_every_later_build_output(tmp_path, monkeypatch, k
         name: MIXED_BUILD_SHA256[name] for name in new}
     assert all((cfg.output_dir / name).read_text(encoding="utf-8") == f"old {name}\n" for name in old)
     assert sorted(os.listdir(cfg.output_dir)) == sorted(BUILD_COMMIT_ORDER)
+
+
+def test_an_output_directory_that_refuses_writes_keeps_the_previous_build(tmp_path, monkeypatch):
+    cfg = _mixed_build_cfg(tmp_path, tmp_path / "out")
+    run_pipeline(cfg, log=None)
+    before = {name: (cfg.output_dir / name).read_bytes() for name in os.listdir(cfg.output_dir)}
+    assert sorted(before) == sorted(BUILD_COMMIT_ORDER)
+    refuse_writes_in(monkeypatch, cfg.output_dir)
+    with pytest.raises(PermissionError) as exc:
+        run_pipeline(cfg, log=None)
+    assert exc.value.filename == str(cfg.output_dir / "rejects.tsv")
+    assert str(cfg.output_dir / "rejects.tsv") in str(exc.value)
+    monkeypatch.undo()
+    assert {name: (cfg.output_dir / name).read_bytes() for name in os.listdir(cfg.output_dir)} == before
 
 
 def _short_paired_target(sources):
