@@ -112,9 +112,10 @@ def cmd_split(args) -> int:
             return "\n".join(art) + "\n\n"
     else:
         # Lines are keyed by the file's base name, so `a.txt` and `./a.txt` split alike.
+        source_id = Path(args.infile).name
         with open(args.infile, "rb") as f:
-            units = list(read_plain_corpus(f, Path(args.infile).name))
-        sides = split_corpus(units, cfg)  # positions in units
+            units = list(read_plain_corpus(f, source_id))
+        sides = split_corpus({source_id: [u.line_no for u in units]}, cfg)  # positions in units
 
         def render(i):
             return units[i].text + "\n"

@@ -23,13 +23,12 @@ import sys
 import tempfile
 import time
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
 from .core import CorpusError, SentenceRecord, decoded_lines, staged_outputs
@@ -220,9 +219,11 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
                 problems.append(f"source '{spec.source_id}': path2 does not exist: {spec.path2}")
 
     probe = Path(cfg.output_dir)
-    while not probe.exists() and probe.parent != probe:
+    while not (probe.exists() or probe.is_symlink()) and probe.parent != probe:
         probe = probe.parent
-    if not os.access(probe, os.W_OK):
+    if not probe.is_dir():
+        problems.append(f"output_dir is not a directory: {cfg.output_dir}")
+    elif not os.access(probe, os.W_OK):
         problems.append(f"output_dir is not writable: {cfg.output_dir}")
 
     problems.extend(cfg.filter_cfg.validate())
@@ -248,38 +249,6 @@ def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecor
         with open(spec.path, "rb") as src, open(spec.path2, "rb") as tgt:
             pairs = read_paired_bitext(src, tgt, spec.source_id, counts)
             yield from extract_bitext_side(pairs, spec.side, spec.source_id, counts)
-
-
-class _KeptLine(NamedTuple):
-    """A kept line's provenance, without its text: the split's unit."""
-
-    source_id: str
-    line_no: int
-
-
-class _KeptLines(Sequence):
-    """The kept lines in corpus.txt order, as a read-only Sequence of
-    _KeptLine. Each item is made when it is read, from the sources' arrays
-    of kept line numbers, so the view holds nothing per line."""
-
-    def __init__(self, kept: dict[str, array]):
-        self._kept = kept
-        self._source_ids = list(kept)
-        self.ends = list(accumulate(map(len, kept.values())))  # each source's end position
-
-    def __len__(self) -> int:
-        return self.ends[-1] if self.ends else 0
-
-    def __getitem__(self, i: int) -> _KeptLine:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        s = bisect_right(self.ends, i)
-        source_id = self._source_ids[s]
-        return _KeptLine(source_id, self._kept[source_id][i - (self.ends[s - 1] if s else 0)])
-
-    def __iter__(self) -> Iterator[_KeptLine]:
-        for source_id, line_nos in self._kept.items():
-            yield from map(_KeptLine._make, zip(repeat(source_id), line_nos))
 
 
 def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: str,
@@ -329,25 +298,24 @@ def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: st
 def _split(cfg: PipelineConfig, kept: dict[str, array], corpus_path: str, path_a: str, path_b: str,
            stats: PipelineStats) -> int:
     """Route each line of corpus.txt to path_a or path_b; return the number of side-A lines."""
-    lines = _KeptLines(kept)
-    side_a = split_corpus(lines, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))[0]
-    # Side A is ascending positions in lines, which are in corpus.txt's line
-    # order. The build wrote that file, so its lines are routed as they are.
+    side_a = split_corpus(kept, replace(cfg.split_cfg, seed=derive_subseed(cfg.seed, "split")))[0]
+    bounds = list(accumulate(map(len, kept.values()), initial=0))  # each source's start, then the end
+    # Side A is ascending positions in the sources' lines laid end to end,
+    # which is corpus.txt's line order. The build wrote that file, so its
+    # lines are routed as they are.
     next_a = iter(side_a)
     want = next(next_a, None)
     with open(corpus_path, "rb") as corpus, open(path_a, "wb") as out_a, open(path_b, "wb") as out_b:
-        for i, line in zip(range(len(lines)), corpus, strict=True):
+        for i, line in zip(range(bounds[-1]), corpus, strict=True):
             if i == want:
                 out_a.write(line)
                 want = next(next_a, None)
             else:
                 out_b.write(line)
-    start = 0
-    for spec, end in zip(cfg.sources, lines.ends, strict=True):
+    for spec, (start, end) in zip(cfg.sources, pairwise(bounds), strict=True):
         n, n_a = end - start, bisect_left(side_a, end) - bisect_left(side_a, start)
         stats.stages.append(StageStats("split", spec.source_id, lines_in=n, lines_out=n,
                                        extra={"side_a": n_a, "side_b": n - n_a}))
-        start = end
     return len(side_a)
 
 

@@ -8,9 +8,10 @@ exact: 1000 documents at ratio 0.6 give 600/400 every time.
 
 The ranking keeps one unsigned 64-bit int per item and never sorts them
 all: the hashes are grouped by their top bits, and only the group that
-holds the cut is sorted. Keys are built and compared only for items whose
-hash another item shares: a repeated key or a true collision. The sides
-come back as ascending positions into the input, one 64-bit int per item.
+holds the cut is sorted. The keys are made as they are hashed, and made
+again, in the same order, only when some hash is shared: a repeated key or
+a true collision. The sides come back as ascending positions into the
+input, one 64-bit int per item.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dedup import blake2b
 
@@ -89,13 +90,13 @@ def _hash_keys(seed: int, keys: Iterable[str]) -> array:
     return hashes
 
 
-def _cut(hashes: array, key_at: Callable[[int], str], ratio: float) -> tuple[int, frozenset[str]]:
+def _cut(hashes: array, keys: Callable[[], Iterable[str]], ratio: float) -> tuple[int, frozenset[str]]:
     """Rank the distinct keys by (hash, key) and cut after ceil(ratio * n_distinct).
 
     Item i goes to subset A iff hashes[i] < bound, or hashes[i] == bound and
     its key is in the returned set, which is empty unless the cut splits the
-    keys of one shared hash. key_at(i) is called only for items whose hash
-    another item shares: a repeated key or a true collision.
+    keys of one shared hash. keys() gives every item's key in order, and is
+    called only when some hash is shared: a repeated key or a true collision.
 
     Nothing sorts every hash. One pass groups the hashes by their top bits,
     about a hundred to a bucket and at most 65,536 buckets; equal hashes are
@@ -113,10 +114,11 @@ def _cut(hashes: array, key_at: Callable[[int], str], ratio: float) -> tuple[int
         if size < len(bucket):
             keys_at.update((h, set()) for h, count in Counter(bucket).items() if count > 1)
     if keys_at:
-        for i in compress(range(len(hashes)), map(keys_at.__contains__, hashes)):
-            keys_at[hashes[i]].add(key_at(i))
-        for h, keys in keys_at.items():
-            sizes[h >> shift] += len(keys) - 1
+        for h, key in zip(hashes, keys(), strict=True):
+            if h in keys_at:
+                keys_at[h].add(key)
+        for h, shared in keys_at.items():
+            sizes[h >> shift] += len(shared) - 1
     quota = split_quota(ratio, sum(sizes))
     if quota == 0:
         return 0, frozenset()
@@ -126,11 +128,11 @@ def _cut(hashes: array, key_at: Callable[[int], str], ratio: float) -> tuple[int
             break
         below += size
     for h in sorted(set(bucket)):
-        keys = keys_at.get(h, ())
-        width = len(keys) or 1  # distinct keys at h
+        shared = keys_at.get(h, ())
+        width = len(shared) or 1  # distinct keys at h
         if quota <= below + width:
-            taken = sorted(keys)[: quota - below]
-            return (h, frozenset(taken)) if len(taken) < len(keys) else (h + 1, frozenset())
+            taken = sorted(shared)[: quota - below]
+            return (h, frozenset(taken)) if len(taken) < len(shared) else (h + 1, frozenset())
         below += width
     raise AssertionError("the quota exceeds the distinct keys")
 
@@ -144,16 +146,17 @@ def _sides(on_a: bytes | bytearray) -> tuple[array, array]:
     return array("Q", compress(positions, on_a)), array("Q", compress(positions, on_a.translate(_FLIP)))
 
 
-def _partition(keys: Iterable[str], key_at: Callable[[int], str], cfg: SplitConfig) -> tuple[array, array]:
-    """Split the items whose keys are given in order, and again one at a time
-    by key_at(i), which is asked only at shared hashes, into the positions
-    of each side."""
-    hashes = _hash_keys(cfg.seed, keys)
-    bound, keys_at_bound = _cut(hashes, key_at, cfg.ratio)
+def _partition(keys: Callable[[], Iterable[str]], cfg: SplitConfig) -> tuple[array, array]:
+    """Split the items whose keys keys() gives in order into the positions
+    of each side. keys() is called once to hash them, and again only when
+    some hash is shared; a second reading of another length is an error."""
+    hashes = _hash_keys(cfg.seed, keys())
+    bound, keys_at_bound = _cut(hashes, keys, cfg.ratio)
     on_a = bytearray(map(bound.__gt__, hashes))
     if keys_at_bound:
-        for i in compress(range(len(hashes)), map(bound.__eq__, hashes)):
-            on_a[i] = key_at(i) in keys_at_bound
+        for i, (h, key) in enumerate(zip(hashes, keys(), strict=True)):
+            if h == bound:
+                on_a[i] = key in keys_at_bound
     del hashes
     return _sides(on_a)
 
@@ -165,26 +168,24 @@ def assign_split(keys: Iterable[str], cfg: SplitConfig) -> set[str]:
     or from any number of shards yields the same set.
     """
     keys = list(keys)
-    return set(map(keys.__getitem__, _partition(keys, keys.__getitem__, cfg)[0]))
+    return set(map(keys.__getitem__, _partition(lambda: keys, cfg)[0]))
 
 
-def _line_key(item) -> str:
-    """An item's unit key under unit=LINE: its source and physical line."""
-    return f"{item.source_id}{_KEY_SEP}{item.line_no}"
-
-
-def split_corpus(items: Sequence, cfg: SplitConfig) -> tuple[array, array]:
-    """Partition items with a source_id and a line_no into sides A and B,
-    each given as the ascending positions of its items in items; with
-    unit=DOCUMENT all items sharing a source_id move together.
-
-    items is read in order once to hash it, and indexed only at shared
-    hashes, so a lazy Sequence works and no item outlives its hashing."""
+def split_corpus(line_nos: Mapping[str, Sequence[int]], cfg: SplitConfig) -> tuple[array, array]:
+    """Partition the lines of each source, given as its line numbers, into
+    sides A and B. A side is the ascending positions of its lines with the
+    sources' lines laid end to end in mapping order. With unit=LINE a line
+    is keyed by its source and line number, so a repeated line number goes
+    to one side; with unit=DOCUMENT each source that has a line is one unit
+    and its lines move together."""
     if cfg.unit is SplitUnit.DOCUMENT:
-        # Rank each source once; its items follow it.
-        side_a = assign_split(dict.fromkeys(r.source_id for r in items), cfg)
-        return _sides(bytes(r.source_id in side_a for r in items))
-    return _partition(map(_line_key, items), lambda i: _line_key(items[i]), cfg)
+        side_a = assign_split((source for source, nos in line_nos.items() if nos), cfg)
+        return _sides(b"".join(bytes([source in side_a]) * len(nos) for source, nos in line_nos.items()))
+
+    def keys() -> Iterator[str]:
+        return (f"{source}{_KEY_SEP}{n}" for source, nos in line_nos.items() for n in nos)
+
+    return _partition(keys, cfg)
 
 
 def split_articles(
@@ -192,8 +193,8 @@ def split_articles(
     cfg: SplitConfig,
 ) -> tuple[list[list[str]], list[list[str]]]:
     """Partition whole articles (each one split unit, keyed by its position)."""
-    def key_at(i: int) -> str:
-        return f"article{_KEY_SEP}{i}"
+    def keys() -> Iterator[str]:
+        return (f"article{_KEY_SEP}{i}" for i in range(len(articles)))
 
-    a, b = _partition(map(key_at, range(len(articles))), key_at, cfg)
+    a, b = _partition(keys, cfg)
     return list(map(articles.__getitem__, a)), list(map(articles.__getitem__, b))

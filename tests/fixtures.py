@@ -233,6 +233,18 @@ def umask(mask: int):
         os.umask(old)
 
 
+def by_source(records, sources=()) -> tuple[dict[str, list[int]], list]:
+    """What split_corpus takes for records, each with a source_id and a
+    line_no: each source's line numbers, and the records in the order of
+    split_corpus's positions. Sources are in order of first appearance,
+    after those named in sources, which come first even with no record."""
+    groups: dict[str, list] = {source: [] for source in sources}
+    for r in records:
+        groups.setdefault(r.source_id, []).append(r)
+    return ({source: [r.line_no for r in group] for source, group in groups.items()},
+            [r for group in groups.values() for r in group])
+
+
 def picked(items, sides) -> tuple[list, list]:
     """The items at split_corpus's side positions: (side A, side B) as lists."""
     return tuple([items[i] for i in side] for side in sides)

@@ -7,7 +7,7 @@ import hashlib
 import random
 import time
 
-from corpuskit import bpe, cli
+from corpuskit import bpe, cli, split
 from corpuskit.core import SentenceRecord
 from corpuskit.dedup import dedup_files, dedup_key, dedup_lines
 from corpuskit.filters import (
@@ -26,7 +26,7 @@ from corpuskit.split import SplitConfig, SplitUnit, assign_split, split_articles
 from corpuskit.tweets import preprocess_tweet
 
 import oracles
-from fixtures import TWEET_CASES, filter_boundary_fixture, picked
+from fixtures import TWEET_CASES, by_source, filter_boundary_fixture, picked
 
 CFG = FilterConfig()
 
@@ -202,15 +202,18 @@ def test_acceptance_6_split_determinism_and_disjointness():
     for _ in range(4):  # five runs in total
         assert split_articles(articles, cfg) == first
 
-    # worker independence: the assignment set is identical when the unit keys
-    # are hashed in one pass or in eight interleaved shards
+    # worker independence: each of eight interleaved shards of the unit keys,
+    # hashed alone, gets the one-pass hash of every key, and the shards read
+    # back in another order give the one-pass assignment
     keys = [f"article\x1f{i}" for i in range(len(articles))]
     reference = assign_split(keys, cfg)
-    sharded = set()
-    for w in range(8):
-        sharded |= assign_split(keys[w::8], SplitConfig(cfg.ratio, cfg.seed, cfg.unit)) & reference
-    merged_from_shards = {k for w in range(8) for k in keys[w::8] if k in reference}
-    assert merged_from_shards == reference
+    assert reference == {keys[i] for i, art in enumerate(articles) if art in first[0]}
+    whole = dict(zip(keys, split._hash_keys(cfg.seed, keys)))
+    shards = [keys[w::8] for w in range(8)]
+    for shard in shards:
+        assert dict(zip(shard, split._hash_keys(cfg.seed, shard))) == {k: whole[k] for k in shard}
+    random.Random(2).shuffle(shards)
+    assert assign_split([k for shard in shards for k in shard], cfg) == reference
 
     # record-level order independence with document units
     records = [
@@ -219,10 +222,12 @@ def test_acceptance_6_split_determinism_and_disjointness():
         for k, s in enumerate(art)
     ]
     rcfg = SplitConfig(ratio=0.6, seed=424242, unit=SplitUnit.DOCUMENT)
-    a_ref, b_ref = picked(records, split_corpus(records, rcfg))
+    line_nos, ordered = by_source(records)
+    a_ref, b_ref = picked(ordered, split_corpus(line_nos, rcfg))
     shuffled = records[:]
     random.Random(1).shuffle(shuffled)
-    a_sh, b_sh = picked(shuffled, split_corpus(shuffled, rcfg))
+    line_nos, ordered = by_source(shuffled)
+    a_sh, b_sh = picked(ordered, split_corpus(line_nos, rcfg))
     key = lambda rs: {(r.source_id, r.line_no, r.text) for r in rs}
     assert key(a_sh) == key(a_ref) and key(b_sh) == key(b_ref)
 

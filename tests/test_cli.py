@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import subprocess
@@ -229,6 +230,36 @@ def test_split_documents(tmp_path):
     n_b = b.read_text(encoding="utf-8").strip().split("\n\n")
     assert len(n_a) == 6 and len(n_b) == 4
     assert all(len(block.splitlines()) == 2 for block in n_a + n_b)
+
+
+# SHA-256 of (side A, side B) from `split --ratio 0.6 --seed 7` on
+# _split_pin_input() saved as pinned.txt, per unit. A line is keyed by the
+# file's name and its physical line number, which skips the blank lines.
+SPLIT_SIDES_SHA256 = {
+    "line": ("0910294f8b1a8a71f2cf5171289fa360e56d02ede0354e9f13e76885e33f4f12",
+             "113eb1dee786811c7059d10db20e350edb9304a0f32000de8680a0299563a0c6"),
+    "document": ("bdfebe7ec799559c3451217ef2bf3446a71bea80ae9c2096bb4f32d86b5e7dc0",
+                 "8a21de84b53265db27712da92b999960d1c6e8e4324cd6a0bff61ee03dcd3e48"),
+}
+
+
+def _split_pin_input():
+    """Twelve blocks of two to four lines, each followed by one or two blank
+    lines; the last block repeats the first line."""
+    blocks = [[f"artikulo {i} pangungusap {k}" for k in range(2 + i % 3)] for i in range(12)]
+    blocks[-1].append(blocks[0][0])
+    return "".join("\n".join(b) + "\n" + "\n" * (1 + i % 2) for i, b in enumerate(blocks))
+
+
+@pytest.mark.parametrize("unit", sorted(SPLIT_SIDES_SHA256))
+def test_split_sides_are_pinned(tmp_path, unit):
+    src = tmp_path / "pinned.txt"
+    src.write_text(_split_pin_input(), encoding="utf-8")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert run_cli("split", "--in", src, "--ratio", 0.6, "--seed", 7,
+                   "--unit", unit, "--out-a", a, "--out-b", b) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (a, b))
+    assert digests == SPLIT_SIDES_SHA256[unit]
 
 
 def test_train_encode_roundtrip(tmp_path):

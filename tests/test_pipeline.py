@@ -76,6 +76,22 @@ def test_paired_needs_second_path(tmp_path, six_line_source):
     assert any("path2" in p for p in validate_config(cfg))
 
 
+@pytest.mark.parametrize("where", ["file", "under a file", "dangling symlink"])
+def test_output_dir_that_cannot_be_a_directory_is_flagged(tmp_path, where):
+    # mkdir(exist_ok=True) would fail on each of these with EEXIST or ENOTDIR
+    outfile = tmp_path / "outfile"
+    outfile.write_text("not a build\n", encoding="utf-8")
+    out_dir = {"file": outfile, "under a file": outfile / "sub", "dangling symlink": tmp_path / "link"}[where]
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    cfg = PipelineConfig(sources=[SourceSpec("gone", tmp_path / "nope.txt")], output_dir=out_dir)
+    problems = validate_config(cfg)
+    assert f"output_dir is not a directory: {out_dir}" in problems
+    assert any("does not exist" in p for p in problems)  # reported with the other problems
+    with pytest.raises(PipelineError, match=r"^\[config\] .*output_dir is not a directory"):
+        run_pipeline(cfg, log=None)
+    assert outfile.read_text(encoding="utf-8") == "not a build\n"
+
+
 # --- the six-line walkthrough ----------------------------------------------------
 
 def test_six_line_fixture_walkthrough(tmp_path, six_line_source):

@@ -1,12 +1,11 @@
 import hashlib
 import random
 import tracemalloc
-from collections.abc import Sequence
-from itertools import repeat
-from typing import NamedTuple
 
-from fixtures import picked
+import pytest
+from fixtures import by_source, picked
 
+from corpuskit import split
 from corpuskit.core import SentenceRecord
 from corpuskit.split import (
     SplitConfig,
@@ -60,16 +59,16 @@ def test_ten_units_ratio_point_six():
 
 
 def test_ratio_boundaries():
-    recs = [SentenceRecord(f"t{i}", "s", i + 1) for i in range(10)]
-    a, b = picked(recs, split_corpus(recs, _line_cfg(1.0)))
+    line_nos, recs = by_source(SentenceRecord(f"t{i}", "s", i + 1) for i in range(10))
+    a, b = picked(recs, split_corpus(line_nos, _line_cfg(1.0)))
     assert (a, b) == (recs, [])
-    a, b = picked(recs, split_corpus(recs, _line_cfg(0.0)))
+    a, b = picked(recs, split_corpus(line_nos, _line_cfg(0.0)))
     assert (a, b) == ([], recs)
 
 
 def test_partition_is_exact_and_order_preserving():
-    recs = [SentenceRecord(f"t{i}", "s", i + 1) for i in range(100)]
-    a, b = picked(recs, split_corpus(recs, _line_cfg(0.37)))
+    line_nos, recs = by_source(SentenceRecord(f"t{i}", "s", i + 1) for i in range(100))
+    a, b = picked(recs, split_corpus(line_nos, _line_cfg(0.37)))
     assert len(a) + len(b) == 100
     assert len(a) == split_quota(0.37, 100)
     assert not (set((r.source_id, r.line_no) for r in a) & set((r.source_id, r.line_no) for r in b))
@@ -79,10 +78,10 @@ def test_partition_is_exact_and_order_preserving():
 
 
 def test_determinism_across_runs():
-    recs = [SentenceRecord(f"t{i}", "s", i + 1) for i in range(200)]
-    first = picked(recs, split_corpus(recs, _line_cfg(0.6, seed=99)))
+    line_nos, recs = by_source(SentenceRecord(f"t{i}", "s", i + 1) for i in range(200))
+    first = picked(recs, split_corpus(line_nos, _line_cfg(0.6, seed=99)))
     for _ in range(4):
-        assert picked(recs, split_corpus(recs, _line_cfg(0.6, seed=99))) == first
+        assert picked(recs, split_corpus(line_nos, _line_cfg(0.6, seed=99))) == first
 
 
 def test_assignment_is_order_independent():
@@ -94,21 +93,21 @@ def test_assignment_is_order_independent():
         shuffled = keys[:]
         rng.shuffle(shuffled)
         assert assign_split(shuffled, cfg) == reference
-    # sharded evaluation: any worker decomposition gives the same set
+    # sharded evaluation: a worker hashing its shard alone gets the whole
+    # run's hash for each key, and the shards read in any order give the same set
+    whole = dict(zip(keys, split._hash_keys(cfg.seed, keys)))
     shards = [keys[i::8] for i in range(8)]
-    merged = set()
     for shard in shards:
-        merged |= {k for k in shard if k in reference}
-    assert merged == reference
+        assert dict(zip(shard, split._hash_keys(cfg.seed, shard))) == {k: whole[k] for k in shard}
+    rng.shuffle(shards)
+    assert assign_split([k for shard in shards for k in shard], cfg) == reference
 
 
 def test_document_unit_moves_sources_together():
-    recs = []
-    for doc in range(20):
-        for line in range(5):
-            recs.append(SentenceRecord(f"d{doc} s{line}", f"doc{doc}", line + 1))
+    line_nos, recs = by_source(
+        SentenceRecord(f"d{doc} s{line}", f"doc{doc}", line + 1) for doc in range(20) for line in range(5))
     cfg = SplitConfig(ratio=0.5, seed=3, unit=SplitUnit.DOCUMENT)
-    a, b = picked(recs, split_corpus(recs, cfg))
+    a, b = picked(recs, split_corpus(line_nos, cfg))
     docs_a = {r.source_id for r in a}
     docs_b = {r.source_id for r in b}
     assert not docs_a & docs_b
@@ -120,50 +119,37 @@ def test_record_unit_keys():
     # A line is keyed by its source and physical line, never by its text; a
     # document by its source alone, so one source at ratio 0.5 (a quota of
     # one unit) lands whole on side A.
-    recs = [SentenceRecord("x", "src", 7), SentenceRecord("x", "src", 8)]
+    line_nos, recs = by_source([SentenceRecord("x", "src", 7), SentenceRecord("x", "src", 8)])
     for seed in range(8):
         side_a = assign_split(["src\x1f7", "src\x1f8"], _line_cfg(0.5, seed))
         expected_a = [r for r in recs if f"src\x1f{r.line_no}" in side_a]
         assert len(expected_a) == 1
-        assert picked(recs, split_corpus(recs, _line_cfg(0.5, seed))) == (
+        assert picked(recs, split_corpus(line_nos, _line_cfg(0.5, seed))) == (
             expected_a, [r for r in recs if r not in expected_a])
-        assert picked(recs, split_corpus(recs, SplitConfig(ratio=0.5, seed=seed, unit=SplitUnit.DOCUMENT))) == (recs, [])
-
-
-class _Line(NamedTuple):
-    source_id: str
-    line_no: int
-
-
-class _LazyLines(Sequence):
-    """Line items of one source, each made when it is read."""
-
-    def __init__(self, n):
-        self._line_nos = range(1, n + 1)
-
-    def __len__(self):
-        return len(self._line_nos)
-
-    def __getitem__(self, i):
-        return _Line("web", self._line_nos[i])
-
-    def __iter__(self):
-        return map(_Line, repeat("web"), self._line_nos)
+        doc_cfg = SplitConfig(ratio=0.5, seed=seed, unit=SplitUnit.DOCUMENT)
+        assert picked(recs, split_corpus(line_nos, doc_cfg)) == (recs, [])
 
 
 def test_line_split_holds_a_few_bytes_per_item():
     # One 64-bit hash per item, a copy of it grouped by top bits, and 8 B of
-    # side positions: about 20 B per item. Items kept past their hashing, or
+    # side positions: about 20 B per item. Keys kept past their hashing, or
     # every hash sorted as a Python int, would cost several times that.
     n = 200_000
     tracemalloc.start()
     try:
-        a, b = split_corpus(_LazyLines(n), _line_cfg(0.6))
+        a, b = split_corpus({"web": range(1, n + 1)}, _line_cfg(0.6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40 * n, f"{peak / n:.1f} B per item"
     assert len(a) == split_quota(0.6, n) and len(a) + len(b) == n
+
+
+def test_a_second_reading_of_other_keys_is_an_error():
+    # "a" twice shares a hash, so the keys are read again to rank them.
+    readings = iter([["a", "a", "b"], ["a", "a"]])
+    with pytest.raises(ValueError):
+        split._partition(lambda: next(readings), _line_cfg(0.5))
 
 
 def test_split_articles_quota_and_determinism():

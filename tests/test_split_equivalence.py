@@ -1,14 +1,12 @@
 """Property: the int-ranked split assigns exactly what the (hash, key) tuple
 ranking in tests/oracles.py assigns, for assign_split, split_corpus at both
-units with repeated keys, and split_articles, also when hashes are forced to
-tie by folding them onto a few values. With enough items to spread over
-several buckets of top bits, side A's keys do not depend on the items'
-order or on how they are sharded."""
+units with empty sources and repeated line numbers, and split_articles, also
+when hashes are forced to tie by folding them onto a few values. With enough
+items to spread over several buckets of top bits, side A's keys do not
+depend on the order of the sources or of their lines, or on how the lines
+are sharded."""
 
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
-from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -22,7 +20,7 @@ from corpuskit.core import SentenceRecord
 from corpuskit.split import SplitConfig, SplitUnit, assign_split, seeded_hash64, split_articles, split_corpus
 
 import oracles
-from fixtures import picked
+from fixtures import by_source, picked
 
 _SEEDS = st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70))
 _RATIOS = st.one_of(st.sampled_from([0.0, 0.37, 0.5, 0.6, 1.0]), st.floats(0.0, 1.0))
@@ -30,7 +28,10 @@ _RATIOS = st.one_of(st.sampled_from([0.0, 0.37, 0.5, 0.6, 1.0]), st.floats(0.0, 
 # so distinct keys share a hash and the key breaks the tie.
 _FOLDS = st.one_of(st.none(), st.integers(1, 4))
 _KEYS = st.lists(st.text(st.sampled_from("ab\x1fé"), max_size=3), max_size=30)
-_RECORDS = st.lists(st.tuples(st.sampled_from(["s", "t", "u\x1f1", "ü"]), st.integers(1, 4)), max_size=30)
+_SOURCE_IDS = ["s", "t", "u\x1f1", "ü"]
+_RECORDS = st.lists(st.tuples(st.sampled_from(_SOURCE_IDS), st.integers(1, 4)), max_size=30)
+# Sources named first, in this order: one never drawn is an empty source.
+_SOURCE_ORDERS = st.lists(st.sampled_from([*_SOURCE_IDS, "e", "e\x1f2"]), unique=True)
 
 
 def _hash64(fold):
@@ -58,27 +59,14 @@ def _tied_hash64(fold):
     return hash64
 
 
-class _Shards(Sequence):
-    """Shards read in turn as one lazy sequence, as the build reads its sources."""
-
-    def __init__(self, shards):
-        self._shards = shards
-        self._ends = list(accumulate(map(len, shards)))
-
-    def __len__(self):
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i):
-        s = bisect_right(self._ends, i)
-        return self._shards[s][i - (self._ends[s - 1] if s else 0)]
-
-    def __iter__(self):
-        return (item for shard in self._shards for item in shard)
+def _line_key(r):
+    return f"{r.source_id}\x1f{r.line_no}"
 
 
-def _side_a_keys(items, cfg):
-    a, _ = picked(items, split_corpus(items, cfg))
-    return {split._line_key(r) for r in a}
+def _side_a_keys(records, cfg, sources=()):
+    line_nos, ordered = by_source(records, sources)
+    a, _ = picked(ordered, split_corpus(line_nos, cfg))
+    return {_line_key(r) for r in a}
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,19 +74,21 @@ def _side_a_keys(items, cfg):
        fold=st.integers(2, 6), rnd=st.randoms(use_true_random=False), n_shards=st.integers(1, 8))
 def test_side_a_keys_ignore_order_and_sharding(n, repeats, seed, ratio, fold, rnd, n_shards):
     records = [SentenceRecord(f"t{i}", f"s{i % 3}", i) for i in range(1, n + 1)]
-    records += rnd.sample(records, min(repeats, n))  # repeated keys, when drawn
+    records += rnd.sample(records, min(repeats, n))  # repeated line numbers, when drawn
     cfg = SplitConfig(ratio, seed, SplitUnit.LINE)
     hash64 = _tied_hash64(fold)
     with mock.patch.object(split, "_hash_keys", lambda seed, keys: array("Q", (hash64(seed, k) for k in keys))):
         side_a = _side_a_keys(records, cfg)
-        assert side_a == oracles.reference_assign_split(map(split._line_key, records), cfg, hash64)
+        assert side_a == oracles.reference_assign_split(map(_line_key, records), cfg, hash64)
+        # the sources in another order, one of them empty, and each source's lines shuffled
         shuffled = records[:]
         rnd.shuffle(shuffled)
-        assert _side_a_keys(shuffled, cfg) == side_a
+        assert _side_a_keys(shuffled, cfg, rnd.sample(["s0", "s1", "s2", "empty"], 4)) == side_a
+        # the lines cut into shards, read back in another order
         cuts = sorted(rnd.randrange(len(shuffled) + 1) for _ in range(n_shards - 1))
         shards = [shuffled[i:j] for i, j in zip([0, *cuts], [*cuts, len(shuffled)])]
         rnd.shuffle(shards)
-        assert _side_a_keys(_Shards(shards), cfg) == side_a
+        assert _side_a_keys([r for shard in shards for r in shard], cfg) == side_a
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,13 +100,16 @@ def test_assign_split_equals_the_tuple_ranking(keys, seed, ratio, fold):
 
 
 @settings(max_examples=300, deadline=None)
-@given(drawn=_RECORDS, seed=_SEEDS, ratio=_RATIOS, fold=_FOLDS, unit=st.sampled_from(SplitUnit))
-def test_split_corpus_equals_the_tuple_ranking(drawn, seed, ratio, fold, unit):
-    # A (source, line) pair drawn twice repeats a line key.
-    records = [SentenceRecord(f"t{i}", source, line_no) for i, (source, line_no) in enumerate(drawn)]
+@given(drawn=_RECORDS, sources=_SOURCE_ORDERS, seed=_SEEDS, ratio=_RATIOS, fold=_FOLDS,
+       unit=st.sampled_from(SplitUnit))
+def test_split_corpus_equals_the_tuple_ranking(drawn, sources, seed, ratio, fold, unit):
+    # A (source, line) pair drawn twice repeats a line number; a named
+    # source with no drawn pair is empty, and gets no rank as a document.
+    line_nos, records = by_source(
+        (SentenceRecord(f"t{i}", source, line_no) for i, (source, line_no) in enumerate(drawn)), sources)
     cfg = SplitConfig(ratio, seed, unit)
     with _patched(fold):
-        assert picked(records, split_corpus(records, cfg)) == oracles.reference_split_corpus(records, cfg, _hash64(fold))
+        assert picked(records, split_corpus(line_nos, cfg)) == oracles.reference_split_corpus(records, cfg, _hash64(fold))
 
 
 @settings(max_examples=200, deadline=None)
