@@ -22,7 +22,7 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -112,19 +112,21 @@ class BpeModel:
         return self._alphabet
 
 
-def _count(texts: Iterable[str]) -> tuple[Counter, dict[str, int]]:
+def _count(texts: Iterable[str]) -> tuple[Counter, Counter]:
     """Whitespace-token counts, and the characters of the tokens weighted by
     their counts. ``str.split()`` splits on exactly the characters for which
     ``str.isspace()`` holds, so these are the texts' non-whitespace
-    characters, words that are special tokens included."""
-    words: Counter = Counter()
-    for line in texts:
-        words.update(line.split())
-    chars: dict[str, int] = {}
-    get = chars.get
+    characters, words that are special tokens included. Characters are
+    counted once per group of words that share a count, over the group's
+    words joined into one string, and weighted by that count."""
+    words = Counter(chain.from_iterable(map(str.split, texts)))
+    groups: defaultdict[int, list[str]] = defaultdict(list)
     for word, n in words.items():
-        for ch in word:
-            chars[ch] = get(ch, 0) + n
+        groups[n].append(word)
+    chars: Counter = Counter()
+    for n, group in groups.items():
+        for ch, k in Counter("".join(group)).items():
+            chars[ch] += k * n
     return words, chars
 
 
@@ -185,6 +187,11 @@ class _PairIndex:
     which drops repeats within one word; a word may still be listed twice,
     and its second visit finds no occurrence, because a merge output is
     longer than either operand and so never re-creates the pair it consumes.
+    A visit counts the left id a in the word with ``list.count`` and
+    searches with ``list.index`` only while some of that count is left, so
+    a word without a costs no search and no search fails. Each occurrence
+    found uses up one; a site of an (a, a) merge uses up two, as it
+    consumes the a after it too.
     Heap entries are (-count, left, right) with string symbols. Each merge
     changes only the pairs next to its merge sites, sums those changes over
     all touched words first and pushes one entry per pair whose count rose;
@@ -241,31 +248,33 @@ class _PairIndex:
         removed = 0
         for idx in where.pop(ab):
             w, n = words[idx], freqs[idx]
-            try:  # non-overlapping occurrences, leftmost first, until index() finds no more
-                i = w.index(a)
-                while True:
-                    if i + 1 < len(w) and w[i + 1] == b:
-                        removed += n
-                        if i:
-                            prev = w[i - 1] << 32
-                            delta[prev | a] -= n
-                            made = prev | new
-                            delta[made] += n
-                            listed = where[made]
-                            if not listed or listed[-1] != idx:
-                                listed.append(idx)
-                        if i + 2 < len(w):
-                            nxt = w[i + 2]
-                            delta[b_high | nxt] -= n
-                            made = new_high | nxt
-                            delta[made] += n
-                            listed = where[made]
-                            if not listed or listed[-1] != idx:
-                                listed.append(idx)
-                        w[i:i + 2] = [new]
-                    i = w.index(a, i + 1)
-            except ValueError:
-                pass
+            left = w.count(a)  # occurrences of a not yet visited; a listed word may have lost the pair
+            i = -1
+            while left:  # non-overlapping occurrences, leftmost first
+                i = w.index(a, i + 1)
+                left -= 1
+                if i + 1 < len(w) and w[i + 1] == b:
+                    if a == b:
+                        left -= 1  # the site consumes the a after it too
+                    removed += n
+                    if i:
+                        prev = w[i - 1] << 32
+                        delta[prev | a] -= n
+                        made = prev | new
+                        delta[made] += n
+                        listed = where[made]
+                        if not listed or listed[-1] != idx:
+                            listed.append(idx)
+                    if i + 2 < len(w):
+                        nxt = w[i + 2]
+                        delta[b_high | nxt] -= n
+                        made = new_high | nxt
+                        delta[made] += n
+                        listed = where[made]
+                        if not listed or listed[-1] != idx:
+                            listed.append(idx)
+                    w[i] = new
+                    del w[i + 1]
         delta[ab] -= removed
         for p, d in delta.items():
             # A pair made and consumed in this merge nets to 0 but was added to where.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
 from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
@@ -107,22 +108,34 @@ def cmd_split(args) -> int:
 
         units = list(read_articles_file(args.infile))
         sides = split_articles(units, cfg)
+        n, n_a = len(units), len(sides[0])
 
-        def render(art):
-            return "\n".join(art) + "\n\n"
+        def write(out_a, out_b):
+            for out, side in zip((out_a, out_b), sides):
+                out.writelines("\n".join(art) + "\n\n" for art in side)
     else:
         # Lines are keyed by the file's base name, so `a.txt` and `./a.txt` split alike.
         source_id = Path(args.infile).name
         with open(args.infile, "rb") as f:
-            units = list(read_plain_corpus(f, source_id))
-        sides = split_corpus({source_id: [u.line_no for u in units]}, cfg)  # positions in units
+            line_nos = array("Q", (rec.line_no for rec in read_plain_corpus(f, source_id)))
+        side_a = split_corpus({source_id: line_nos}, cfg)[0]  # positions in the file's non-blank lines
+        n, n_a = len(line_nos), len(side_a)
 
-        def render(i):
-            return units[i].text + "\n"
+        def write(out_a, out_b):
+            # Lines are routed on a second reading of the input, which must
+            # give back as many lines as the first.
+            next_a = iter(side_a)
+            want = next(next_a, None)
+            with open(args.infile, "rb") as f:
+                for i, rec in zip(range(n), read_plain_corpus(f, source_id), strict=True):
+                    if i == want:
+                        out_a.write(rec.text + "\n")
+                        want = next(next_a, None)
+                    else:
+                        out_b.write(rec.text + "\n")
     with staged_outputs() as stage, _open_out(stage, args.out_a) as out_a, _open_out(stage, args.out_b) as out_b:
-        for out, side in zip((out_a, out_b), sides):
-            out.writelines(map(render, side))
-    print(f"units={len(units)} a={len(sides[0])} b={len(sides[1])}", file=sys.stderr)
+        write(out_a, out_b)
+    print(f"units={n} a={n_a} b={n - n_a}", file=sys.stderr)
     return 0
 
 

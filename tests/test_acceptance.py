@@ -346,6 +346,15 @@ def test_acceptance_8_end_to_end_determinism(tmp_path):
                          "bpe.merges.txt", "bpe.vocab.txt", "stats.jsonl", "stats.txt")
         })
     assert outputs[0] == outputs[1], "two builds must be byte-identical"
+    # The largest training any test runs: about 69k distinct words, 343
+    # merges. _make_corpus draws ASCII words only, and the noise lines are
+    # ASCII or Cyrillic, so no filter verdict, and hence no digest, depends
+    # on the Unicode version of the running Python.
+    digests = {name: hashlib.sha256(outputs[0][name]).hexdigest() for name in ("bpe.merges.txt", "bpe.vocab.txt")}
+    assert digests == {
+        "bpe.merges.txt": "2fb4b0e08f488694d58741fb658872c8877041a55a3c23656d575ee72b82515e",
+        "bpe.vocab.txt": "7bb45b4e8b486021c9aa747f7c251536184cde6bda869acc5eda97b2060b7040",
+    }
 
     stats = stats_from_jsonl(outputs[0]["stats.jsonl"].decode("utf-8"))
     assert stats.stages, "stats must not be empty"

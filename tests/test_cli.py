@@ -3,11 +3,13 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import corpuskit
+from corpuskit import cli
 from corpuskit.cli import main
 
 from fixtures import PIPELINE_SIX_LINES, fail_on_replace, umask
@@ -260,6 +262,48 @@ def test_split_sides_are_pinned(tmp_path, unit):
                    "--unit", unit, "--out-a", a, "--out-b", b) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (a, b))
     assert digests == SPLIT_SIDES_SHA256[unit]
+
+
+def test_split_lines_holds_no_text(tmp_path):
+    # Line numbers in an array('Q') and the split's hashes: about 28 B per
+    # line. With lines of this length, one record per line peaks at about
+    # 250 B, and one str and one int line number per line at about 200 B.
+    words = ("maganda", "umaga", "balita", "bayan", "ngayon", "kasama", "paaralan", "lungsod")
+    n = 50_000
+    src = tmp_path / "in.txt"
+    src.write_text("".join(
+        f"linya {i} " + " ".join(words[(i + k) % len(words)] for k in range(10)) + "\n" for i in range(n)
+    ), encoding="utf-8")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    tracemalloc.start()
+    try:
+        assert run_cli("split", "--in", src, "--ratio", 0.6, "--seed", 7,
+                       "--unit", "line", "--out-a", a, "--out-b", b) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, f"{peak / n:.1f} B per line"
+    assert sorted(a.read_bytes().splitlines() + b.read_bytes().splitlines()) == sorted(src.read_bytes().splitlines())
+
+
+def test_split_lines_refuses_an_input_that_reads_back_shorter(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("".join(f"linya numero {i}\n" for i in range(10)), encoding="utf-8")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    reads = []
+    real = cli.read_plain_corpus
+
+    def shrinking(f, source_id):
+        reads.append(source_id)
+        records = list(real(f, source_id))
+        return iter(records[:-1] if len(reads) > 1 else records)
+
+    monkeypatch.setattr(cli, "read_plain_corpus", shrinking)
+    assert run_cli("split", "--in", src, "--ratio", 0.6, "--seed", 7,
+                   "--unit", "line", "--out-a", a, "--out-b", b) == 1
+    assert len(reads) == 2
+    assert capsys.readouterr().err.startswith("error: [split] ")
+    assert not a.exists() and not b.exists()
 
 
 def test_train_encode_roundtrip(tmp_path):
