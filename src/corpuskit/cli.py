@@ -53,8 +53,8 @@ def cmd_ingest(args) -> int:
             else:
                 pairs = read_paired_bitext(files[0], files[1], args.source_id, counts)
             records = extract_bitext_side(pairs, Side(args.side), args.source_id, counts)
-        for rec in records:
-            out.write(rec.text + "\n")
+        for text, _ in records:
+            out.write(text + "\n")
             n += 1
     skipped = sum(counts[kind] for kind in SKIP_KINDS)
     print(f"read={counts['lines']} extracted={n} skipped={skipped}", file=sys.stderr)
@@ -72,14 +72,14 @@ def cmd_filter(args) -> int:
     rejected: Counter = Counter()
     with (staged_outputs() as stage, open(args.infile, "rb") as f, _open_out(stage, args.out) as out,
           _open_out(stage, args.rejects) as rej):
-        for rec in read_plain_corpus(f, args.infile, counts):
-            verdict = apply_filters(rec.text, cfg)
+        for text, _ in read_plain_corpus(f, args.infile, counts):
+            verdict = apply_filters(text, cfg)
             if verdict.passed:
-                out.write(rec.text + "\n")
+                out.write(text + "\n")
                 kept += 1
             else:
                 rejected[verdict.reason.value] += 1
-                rej.write(f"{verdict.reason.value}\t{rec.text}\n")
+                rej.write(f"{verdict.reason.value}\t{text}\n")
     detail = " ".join(f"{k}={v}" for k, v in sorted(rejected.items()))
     print(f"read={counts['lines']} kept={kept} rejected={sum(rejected.values())} {detail}".rstrip(),
           file=sys.stderr)
@@ -117,7 +117,7 @@ def cmd_split(args) -> int:
         # Lines are keyed by the file's base name, so `a.txt` and `./a.txt` split alike.
         source_id = Path(args.infile).name
         with open(args.infile, "rb") as f:
-            line_nos = array("Q", (rec.line_no for rec in read_plain_corpus(f, source_id)))
+            line_nos = array("Q", (line_no for _, line_no in read_plain_corpus(f, source_id)))
         side_a = split_corpus({source_id: line_nos}, cfg)[0]  # positions in the file's non-blank lines
         n, n_a = len(line_nos), len(side_a)
 
@@ -126,13 +126,16 @@ def cmd_split(args) -> int:
             # give back as many lines as the first.
             next_a = iter(side_a)
             want = next(next_a, None)
+            i = -1
             with open(args.infile, "rb") as f:
-                for i, rec in zip(range(n), read_plain_corpus(f, source_id), strict=True):
+                for i, (text, _) in enumerate(read_plain_corpus(f, source_id)):
                     if i == want:
-                        out_a.write(rec.text + "\n")
+                        out_a.write(text + "\n")
                         want = next(next_a, None)
                     else:
-                        out_b.write(rec.text + "\n")
+                        out_b.write(text + "\n")
+            if i + 1 != n:
+                raise ValueError(f"{args.infile} reads back {i + 1} non-blank lines, not the {n} of its first reading")
     with staged_outputs() as stage, _open_out(stage, args.out_a) as out_a, _open_out(stage, args.out_b) as out_b:
         write(out_a, out_b)
     print(f"units={n} a={n_a} b={n - n_a}", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 Five heuristics, applied in a fixed order so per-reason statistics are
 reproducible: script ratio, token count, punctuation runs, average word
-length, HTML/URL residue. Each one is a pure function of (text, config);
-only the first rejection reason is recorded by apply_filters.
+length, HTML/URL residue. Each one is a pure function of (text, config),
+and takes the line's tokens, text.split(), as an optional third argument:
+apply_filters splits each line once and hands every filter the same list.
+Only the first rejection reason is recorded by apply_filters.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _not_latin() -> re.Pattern:
     return re.compile(rf"[^\x00-\x7f{latin}]")
 
 
-def filter_non_latin(text: str, cfg: FilterConfig) -> FilterVerdict:
+def filter_non_latin(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -> FilterVerdict:
     """Reject when non-Latin letters exceed the allowed share of visible characters.
 
     Denominator: every non-whitespace codepoint. Numerator: alphabetic
@@ -126,14 +128,14 @@ def filter_non_latin(text: str, cfg: FilterConfig) -> FilterVerdict:
     if not foreign and cfg.nonlatin_max_ratio >= 0:
         return PASS  # a share of 0 never exceeds the threshold
     # str.split() and str.isspace() share one whitespace predicate.
-    visible = sum(map(len, text.split()))
+    visible = sum(map(len, text.split() if tokens is None else tokens))
     if visible > 0 and foreign / visible > cfg.nonlatin_max_ratio:
         return _REJECT_NON_LATIN
     return PASS
 
 
-def filter_length(text: str, cfg: FilterConfig) -> FilterVerdict:
-    n = len(text.split())
+def filter_length(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -> FilterVerdict:
+    n = len(text.split() if tokens is None else tokens)
     if cfg.min_tokens <= n <= cfg.max_tokens:
         return PASS
     return _REJECT_LENGTH
@@ -159,7 +161,7 @@ def _punct_run_candidates(punct_run_max: int) -> re.Pattern:
 _PUNCT_ZEROS = bytes(0 if chr(b) in _ASCII_PUNCT else 1 for b in range(256))
 
 
-def filter_punct_run(text: str, cfg: FilterConfig) -> FilterVerdict:
+def filter_punct_run(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -> FilterVerdict:
     """Reject tokens like "///": more than punct_run_max consecutive punctuation
     codepoints, identical or not.
 
@@ -168,7 +170,7 @@ def filter_punct_run(text: str, cfg: FilterConfig) -> FilterVerdict:
     byte table and searched for a rejected run of zeros; the run length is
     clamped to one more than the line, where it can never be found. Other
     lines count only maximal runs of candidate codepoints long enough to hold
-    a rejected run, one by one.
+    a rejected run, one by one. The tokens are not needed.
     """
     if text.isascii():
         zeros = b"\0" * min(max(cfg.punct_run_max, 0) + 1, len(text) + 1)
@@ -185,11 +187,12 @@ def filter_punct_run(text: str, cfg: FilterConfig) -> FilterVerdict:
     return PASS
 
 
-def filter_avg_word_len(text: str, cfg: FilterConfig) -> FilterVerdict:
+def filter_avg_word_len(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -> FilterVerdict:
     """Keep sentences whose mean token length (in codepoints, punctuation
     included) falls inside [awl_min, awl_max]. Zero tokens pass; the length
     filter owns empty lines."""
-    tokens = text.split()
+    if tokens is None:
+        tokens = text.split()
     if not tokens:
         return PASS
     ratio = sum(map(len, tokens)) / len(tokens)
@@ -206,7 +209,7 @@ def _html_alternation(patterns: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(re.escape(p.lower()) for p in patterns) if patterns else "(?!)")
 
 
-def filter_html(text: str, cfg: FilterConfig) -> FilterVerdict:
+def filter_html(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -> FilterVerdict:
     """Reject any token carrying an HTML or URL fragment, case-insensitively.
 
     No whitespace codepoint is cased or case-ignorable, so lowering the line
@@ -216,7 +219,7 @@ def filter_html(text: str, cfg: FilterConfig) -> FilterVerdict:
     search = _html_alternation(cfg.html_patterns).search
     if not search(text.lower()):
         return PASS
-    for token in text.split():
+    for token in text.split() if tokens is None else tokens:
         if search(token.lower()):
             return _REJECT_HTML
     return PASS
@@ -234,9 +237,11 @@ FILTER_CHAIN = (
 
 
 def apply_filters(text: str, cfg: FilterConfig) -> FilterVerdict:
-    """Run all five filters in order; return the first rejection or a pass."""
+    """Run all five filters in order on one split of the line; return the
+    first rejection or a pass."""
+    tokens = text.split()
     for f in FILTER_CHAIN:
-        verdict = f(text, cfg)
+        verdict = f(text, cfg, tokens)
         if not verdict.passed:
             return verdict
     return PASS

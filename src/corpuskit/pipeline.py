@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from .bpe import TokenizerConfig, learn_bpe, save_model
-from .core import CorpusError, SentenceRecord, decoded_lines, staged_outputs
+from .core import CorpusError, decoded_lines, staged_outputs
 from .dedup import dedup_key
 from .filters import FilterConfig, apply_filters
 from .ingest import (
@@ -237,7 +237,8 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # Execution
 
-def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[SentenceRecord]:
+def _source_records(spec: SourceSpec, counts: Counter) -> Iterator[tuple[str, int]]:
+    """(text, line_no) per line the source's reader keeps; counts is complete once it is drained."""
     if spec.format == "plain":
         with open(spec.path, "rb") as f:
             yield from read_plain_corpus(f, spec.source_id, counts)
@@ -267,19 +268,19 @@ def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: st
             line_nos = kept[spec.source_id] = array("Q")
             n_records = n_passed = 0
             try:
-                for rec in _source_records(spec, counts):
+                for text, line_no in _source_records(spec, counts):
                     n_records += 1
-                    verdict = apply_filters(rec.text, cfg.filter_cfg)
+                    verdict = apply_filters(text, cfg.filter_cfg)
                     if not verdict.passed:
                         filter_rejects[verdict.reason.value] += 1
-                        rejects_file.write(f"{verdict.reason.value}\t{rec.text}\n")
+                        rejects_file.write(f"{verdict.reason.value}\t{text}\n")
                         continue
                     n_passed += 1
-                    key = dedup_key(rec.text)
+                    key = dedup_key(text)
                     if key not in seen:
                         seen.add(key)
-                        corpus_file.write(rec.text + "\n")
-                        line_nos.append(rec.line_no)
+                        corpus_file.write(text + "\n")
+                        line_nos.append(line_no)
             except (CorpusError, OSError, ValueError) as e:
                 raise PipelineError("ingest", str(e), spec.source_id) from e
 
@@ -305,13 +306,16 @@ def _split(cfg: PipelineConfig, kept: dict[str, array], corpus_path: str, path_a
     # lines are routed as they are.
     next_a = iter(side_a)
     want = next(next_a, None)
+    i = -1
     with open(corpus_path, "rb") as corpus, open(path_a, "wb") as out_a, open(path_b, "wb") as out_b:
-        for i, line in zip(range(bounds[-1]), corpus, strict=True):
+        for i, line in enumerate(corpus):
             if i == want:
                 out_a.write(line)
                 want = next(next_a, None)
             else:
                 out_b.write(line)
+    if i + 1 != bounds[-1]:
+        raise PipelineError("split", f"{corpus_path} reads back {i + 1} lines, not the {bounds[-1]} the build wrote")
     for spec, (start, end) in zip(cfg.sources, pairwise(bounds), strict=True):
         n, n_a = end - start, bisect_left(side_a, end) - bisect_left(side_a, start)
         stats.stages.append(StageStats("split", spec.source_id, lines_in=n, lines_out=n,

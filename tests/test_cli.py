@@ -286,24 +286,36 @@ def test_split_lines_holds_no_text(tmp_path):
     assert sorted(a.read_bytes().splitlines() + b.read_bytes().splitlines()) == sorted(src.read_bytes().splitlines())
 
 
-def test_split_lines_refuses_an_input_that_reads_back_shorter(tmp_path, monkeypatch, capsys):
+def _split_reading_back(tmp_path, monkeypatch, capsys, change) -> str:
+    """Run a line split whose second reading of its 10-line input gives
+    change(records); return the error, after checking that nothing was written."""
     src = tmp_path / "in.txt"
     src.write_text("".join(f"linya numero {i}\n" for i in range(10)), encoding="utf-8")
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     reads = []
     real = cli.read_plain_corpus
 
-    def shrinking(f, source_id):
+    def second_reading_changed(f, source_id):
         reads.append(source_id)
         records = list(real(f, source_id))
-        return iter(records[:-1] if len(reads) > 1 else records)
+        return iter(change(records) if len(reads) > 1 else records)
 
-    monkeypatch.setattr(cli, "read_plain_corpus", shrinking)
+    monkeypatch.setattr(cli, "read_plain_corpus", second_reading_changed)
     assert run_cli("split", "--in", src, "--ratio", 0.6, "--seed", 7,
                    "--unit", "line", "--out-a", a, "--out-b", b) == 1
     assert len(reads) == 2
-    assert capsys.readouterr().err.startswith("error: [split] ")
     assert not a.exists() and not b.exists()
+    return capsys.readouterr().err.replace(str(src), "<in>")
+
+
+def test_split_lines_refuses_an_input_that_reads_back_shorter(tmp_path, monkeypatch, capsys):
+    err = _split_reading_back(tmp_path, monkeypatch, capsys, lambda records: records[:-1])
+    assert err == "error: [split] <in> reads back 9 non-blank lines, not the 10 of its first reading\n"
+
+
+def test_split_lines_refuses_an_input_that_reads_back_longer(tmp_path, monkeypatch, capsys):
+    err = _split_reading_back(tmp_path, monkeypatch, capsys, lambda records: [*records, ("dagdag", 11)])
+    assert err == "error: [split] <in> reads back 11 non-blank lines, not the 10 of its first reading\n"
 
 
 def test_train_encode_roundtrip(tmp_path):

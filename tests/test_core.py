@@ -27,7 +27,7 @@ def _token_count(text: str) -> int:
 
 def _line(raw: bytes) -> list[str]:
     """The texts read_plain_corpus yields for one physical line."""
-    return [rec.text for rec in read_plain_corpus([raw], "s")]
+    return [text for text, _ in read_plain_corpus([raw], "s")]
 
 
 def test_tokenize_splits_on_whitespace_runs():

@@ -46,3 +46,10 @@ def test_fast_filters_agree_with_reference_bodies(text, cfg):
     for fast, (reason, reference) in zip(FILTER_CHAIN, oracles.REFERENCE_FILTERS):
         assert fast(text, cfg).passed == reference(text, cfg), reason
     assert apply_filters(text, cfg).reason.value == oracles.reference_reject_reason(text, cfg)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT, _CONFIG)
+def test_each_filter_gives_the_same_verdict_on_tokens_passed_in(text, cfg):
+    for f in FILTER_CHAIN:
+        assert f(text, cfg, tokens=text.split()) == f(text, cfg), f.__name__

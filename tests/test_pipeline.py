@@ -295,6 +295,27 @@ def test_split_outputs_partition_corpus(tmp_path):
     assert not set(a) & set(b)
 
 
+def test_split_refuses_a_corpus_that_reads_back_at_another_length(tmp_path, monkeypatch):
+    import corpuskit.pipeline as pipeline
+
+    real = pipeline._ingest_filter_dedup
+
+    def one_line_more(*args):
+        kept = real(*args)
+        next(iter(kept.values())).append(10**6)  # provenance for a line corpus.txt lacks
+        return kept
+
+    monkeypatch.setattr(pipeline, "_ingest_filter_dedup", one_line_more)
+    cfg = PipelineConfig(sources=_write_mixed_sources(tmp_path), output_dir=tmp_path / "out", seed=5,
+                         split_cfg=SplitConfig(ratio=0.6, seed=0, unit=SplitUnit.LINE))
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(cfg, log=None)
+    n = int(re.search(r"reads back (\d+) lines", str(exc.value))[1])
+    assert re.fullmatch(rf"\[split\] \S*corpus\.txt reads back {n} lines, not the {n + 1} the build wrote",
+                        str(exc.value)), exc.value
+    assert not (cfg.output_dir / "corpus.txt").exists()
+
+
 def test_conservation_holds_on_real_run(tmp_path):
     sources = _write_mixed_sources(tmp_path)
     cfg = PipelineConfig(sources=sources, output_dir=tmp_path / "out", seed=1)
