@@ -6,6 +6,11 @@ length, HTML/URL residue. Each one is a pure function of (text, config),
 and takes the line's tokens, text.split(), as an optional third argument:
 apply_filters splits each line once and hands every filter the same list.
 Only the first rejection reason is recorded by apply_filters.
+
+What a filter needs from its thresholds beyond the numbers themselves (the
+HTML alternation, the punctuation-run needle and regex) is built once per
+FilterConfig, on first use, and kept on that instance; it is not a field,
+so equality, hashing, repr and dataclasses.replace see only the thresholds.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import functools
 import re
 import unicodedata
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import PASS, FilterVerdict, RejectReason
 
@@ -28,6 +34,28 @@ DEFAULT_HTML_PATTERNS = (
     "</",
     "/>",
 )
+
+
+class _built_once:
+    """A value a FilterConfig derives from its fields: built on first read,
+    then stored as a plain instance attribute, which shadows this
+    descriptor from then on. It is stored with object.__setattr__, not
+    through __dict__ as functools.cached_property does: on CPython 3.11 and
+    later, reading an instance's __dict__ slows every later attribute read
+    on that instance, and the filters read config fields on every line."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, cfg, owner=None):
+        if cfg is None:
+            return self
+        value = self.build(cfg)
+        object.__setattr__(cfg, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -66,6 +94,28 @@ class FilterConfig:
             if p.split() != [p]:
                 problems.append(f"html_patterns entries must be non-empty and hold no whitespace, got {p!r}")
         return problems
+
+    # Matchers derived from the thresholds, built on first use and kept on
+    # the instance. They are not fields.
+
+    @_built_once
+    def _html_search(self) -> Callable[[str], re.Match | None]:
+        """search() of one regex that matches exactly where some lowered
+        pattern occurs. With no pattern the alternation would be empty and
+        match everywhere, so (?!), which matches nowhere, stands in."""
+        patterns = self.html_patterns
+        return re.compile("|".join(re.escape(p.lower()) for p in patterns) if patterns else "(?!)").search
+
+    @_built_once
+    def _punct_zero_run(self) -> bytes:
+        """The run of zero bytes that marks a rejected run in an ASCII line
+        mapped through _PUNCT_ZEROS. filter_punct_run reads it only for a
+        line longer than punct_run_max, so it is never longer than a line."""
+        return b"\0" * (max(self.punct_run_max, 0) + 1)
+
+    @_built_once
+    def _punct_candidate_runs(self) -> re.Pattern:
+        return _punct_run_candidates(self.punct_run_max)
 
 
 # Codepoint ranges of the Unicode Latin script (letters only are relevant:
@@ -149,7 +199,6 @@ _PUNCT_CANDIDATES = "[^" + "".join(
 ) + "]"
 
 
-@functools.lru_cache(maxsize=16)
 def _punct_run_candidates(punct_run_max: int) -> re.Pattern:
     # A rejected run is at least max(1, punct_run_max + 1) long, so any
     # minimum from 1 up to that finds it (the count inside each match
@@ -166,16 +215,17 @@ def filter_punct_run(text: str, cfg: FilterConfig, tokens: list[str] | None = No
     codepoints, identical or not.
 
     No whitespace codepoint is punctuation, so a run never crosses tokens and
-    the whole line can be scanned at once. An ASCII line is mapped through a
-    byte table and searched for a rejected run of zeros; the run length is
-    clamped to one more than the line, where it can never be found. Other
-    lines count only maximal runs of candidate codepoints long enough to hold
-    a rejected run, one by one. The tokens are not needed.
+    the whole line can be scanned at once. A line no longer than
+    punct_run_max cannot hold a rejected run and passes at once. An ASCII
+    line is mapped through a byte table and searched for a rejected run of
+    zeros. Other lines count only maximal runs of candidate codepoints long
+    enough to hold a rejected run, one by one. The tokens are not needed.
     """
+    if len(text) <= cfg.punct_run_max:
+        return PASS
     if text.isascii():
-        zeros = b"\0" * min(max(cfg.punct_run_max, 0) + 1, len(text) + 1)
-        return _REJECT_PUNCT_RUN if zeros in text.encode("ascii").translate(_PUNCT_ZEROS) else PASS
-    for m in _punct_run_candidates(cfg.punct_run_max).finditer(text):
+        return _REJECT_PUNCT_RUN if cfg._punct_zero_run in text.encode("ascii").translate(_PUNCT_ZEROS) else PASS
+    for m in cfg._punct_candidate_runs.finditer(text):
         run = 0
         for ch in m.group():
             if is_punct(ch):
@@ -195,18 +245,10 @@ def filter_avg_word_len(text: str, cfg: FilterConfig, tokens: list[str] | None =
         tokens = text.split()
     if not tokens:
         return PASS
-    ratio = sum(map(len, tokens)) / len(tokens)
+    ratio = len("".join(tokens)) / len(tokens)
     if cfg.awl_min <= ratio <= cfg.awl_max:
         return PASS
     return _REJECT_AVG_WORD_LEN
-
-
-@functools.lru_cache(maxsize=16)
-def _html_alternation(patterns: tuple[str, ...]) -> re.Pattern:
-    """One regex that matches exactly where some lowered pattern occurs. With
-    no pattern the alternation would be empty and match everywhere, so (?!),
-    which matches nowhere, stands in."""
-    return re.compile("|".join(re.escape(p.lower()) for p in patterns) if patterns else "(?!)")
 
 
 def filter_html(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -> FilterVerdict:
@@ -216,7 +258,7 @@ def filter_html(text: str, cfg: FilterConfig, tokens: list[str] | None = None) -
     lowers each token as if alone (final sigma included): a pattern absent
     from the lowered line is absent from every lowered token.
     """
-    search = _html_alternation(cfg.html_patterns).search
+    search = cfg._html_search
     if not search(text.lower()):
         return PASS
     for token in text.split() if tokens is None else tokens:

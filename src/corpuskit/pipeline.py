@@ -267,20 +267,25 @@ def _ingest_filter_dedup(cfg: PipelineConfig, rejects_path: str, corpus_path: st
             filter_rejects: Counter = Counter()
             line_nos = kept[spec.source_id] = array("Q")
             n_records = n_passed = 0
+            # Per-line names bound once per source. apply_filters and
+            # dedup_key are read from the module here, at call time, so a
+            # wrapper installed after import still sees every line.
+            filter_cfg, filter_line, key_of = cfg.filter_cfg, apply_filters, dedup_key
+            seen_add, write_kept, add_line_no = seen.add, corpus_file.write, line_nos.append
             try:
                 for text, line_no in _source_records(spec, counts):
                     n_records += 1
-                    verdict = apply_filters(text, cfg.filter_cfg)
+                    verdict = filter_line(text, filter_cfg)
                     if not verdict.passed:
                         filter_rejects[verdict.reason.value] += 1
                         rejects_file.write(f"{verdict.reason.value}\t{text}\n")
                         continue
                     n_passed += 1
-                    key = dedup_key(text)
+                    key = key_of(text)
                     if key not in seen:
-                        seen.add(key)
-                        corpus_file.write(text + "\n")
-                        line_nos.append(line_no)
+                        seen_add(key)
+                        write_kept(text + "\n")
+                        add_line_no(line_no)
             except (CorpusError, OSError, ValueError) as e:
                 raise PipelineError("ingest", str(e), spec.source_id) from e
 

@@ -42,6 +42,22 @@ def test_key_is_unkeyed_blake2b_of_the_utf8_bytes():
         assert dedup_key(text) == hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
 
 
+def test_key_is_blake2b_of_the_utf8_bytes_on_any_text():
+    # Many keys in one process: a key that updated the shared prepared state
+    # instead of a copy would change every key after it.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(st.text())
+    def key_matches_hashlib(text):
+        expected = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+        assert dedup_key(text) == expected
+        assert dedup_key(text) == expected
+
+    key_matches_hashlib()
+
+
 def test_keep_first_basic(tmp_path):
     assert _dedup(tmp_path, ["a", "b", "a"]) == ["a", "b"]
 

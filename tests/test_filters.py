@@ -1,4 +1,5 @@
 import sys
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -236,6 +237,39 @@ def test_config_validation_rejects_dead_html_patterns(patterns):
     # a token holds no whitespace, so "a b" never matches; "" matches every token
     problems = FilterConfig(html_patterns=patterns).validate()
     assert len(problems) == 1 and "html_patterns" in problems[0] and repr(patterns[-1]) in problems[0]
+
+
+# --- matchers a config builds on first use -----------------------------------
+
+def test_a_replaced_config_gives_the_new_thresholds_verdicts():
+    # An ASCII and a non-ASCII punctuation run of each length 1..4, and two
+    # links: between them they reach every matcher a config builds. None may
+    # carry over from the used config, whether the threshold rises or falls.
+    runs = [f"wait{'.' * n} now" for n in range(1, 5)] + [f"{'¿' * n} qué pasa" for n in range(1, 5)]
+    links = ["see example.org", "see www.x"]
+
+    def verdicts(cfg):
+        return [filter_punct_run(t, cfg).passed for t in runs], [filter_html(t, cfg).passed for t in links]
+
+    used = FilterConfig()
+    assert verdicts(used) == ([n <= 2 for n in range(1, 5)] * 2, [True, False])
+    for punct_run_max in (1, 3):
+        replaced = replace(used, punct_run_max=punct_run_max, html_patterns=(".org",))
+        assert verdicts(replaced) == ([n <= punct_run_max for n in range(1, 5)] * 2, [False, True])
+    assert verdicts(used) == ([n <= 2 for n in range(1, 5)] * 2, [True, False])  # it keeps its own
+
+
+def test_matchers_built_on_first_use_are_not_fields():
+    used, unused = FilterConfig(punct_run_max=3), FilterConfig(punct_run_max=3)
+    for text in ("wait.... now", "¿¿¿¿ qué pasa", "visit www.x now"):
+        for f in FILTER_CHAIN:
+            f(text, used)
+    assert len(vars(used)) > len(vars(unused))  # the used one holds its matchers
+    assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
+    assert asdict(used) == asdict(unused)
+    assert [f.name for f in fields(FilterConfig)] == [
+        "nonlatin_max_ratio", "min_tokens", "max_tokens", "punct_run_max", "awl_min", "awl_max", "html_patterns",
+    ]
 
 
 # --- facts the whole-line fast paths rely on ----------------------------------
